@@ -1,140 +1,20 @@
 """Singular exponents and asymptotic near-tip fields for sharp notches in
-dipolar gradient elasticity."""
+dipolar gradient elasticity.
 
-from .model import (
-    DisplacementField,
-    EigenSolution,
-    MaterialParams,
-    Mode,
-    OutOfRange,
-    PolarPoint,
-    PolarSeries,
-    WedgeCase,
-    validate_case,
-)
-from .charfn import (
-    CharKind,
-    char_antiplane,
-    char_bracket,
-    char_full,
-    char_plane_anti,
-    char_plane_sym,
-)
-from .eigensolver import (
-    AdmissibleRoot,
-    ExponentSummary,
-    NoRootFound,
-    NoSignChange,
-    RootScanOptions,
-    admissible_eigenvalues,
-    find_roots,
-    smallest_exponents,
-)
-from .basis import (
-    DegenerateBasis,
-    EmptyNullSpace,
-    apply_bc_operators,
-    basis_fields,
-    bc_det,
-    bc_matrix,
-    eigenfield,
-    null_space,
-    singular_ratio,
-    solution_from_amplitudes,
-    special_p1_field,
-    special_p1_solution,
-)
-from .fields import (
-    DipolarStress,
-    MonopolarStress,
-    StrainTensor,
-    TotalTraction,
-    crack_reference_fields,
-    dipolar_stress,
-    displacement,
-    monopolar_stress,
-    strain,
-    strain_energy_density,
-    total_stress_r,
-    total_stress_theta,
-)
-from .equilibrium import (
-    CornerForces,
-    EquilibriumReport,
-    check_equilibrium,
-    edge_forces,
-    resultant_on_arc,
-)
-from .verify import (
-    DivergentEnergy,
-    ResidualVector,
-    bc_residual,
-    det_vs_charfn,
-    energy_scaling,
-    pde_residual,
-    run_suite,
-)
+The names below are the ones README's library example uses; everything
+else lives in the submodules listed there."""
+
+from .model import MaterialParams, Mode, PolarSeries, WedgeCase
+from .eigensolver import smallest_exponents
+from .basis import eigenfield
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleRoot",
-    "CharKind",
-    "CornerForces",
-    "DegenerateBasis",
-    "DipolarStress",
-    "DisplacementField",
-    "DivergentEnergy",
-    "EigenSolution",
-    "EmptyNullSpace",
-    "EquilibriumReport",
-    "ExponentSummary",
     "MaterialParams",
     "Mode",
-    "MonopolarStress",
-    "NoRootFound",
-    "NoSignChange",
-    "OutOfRange",
-    "PolarPoint",
     "PolarSeries",
-    "ResidualVector",
-    "RootScanOptions",
-    "StrainTensor",
-    "TotalTraction",
     "WedgeCase",
-    "admissible_eigenvalues",
-    "apply_bc_operators",
-    "basis_fields",
-    "bc_det",
-    "bc_matrix",
-    "bc_residual",
-    "char_antiplane",
-    "char_bracket",
-    "char_full",
-    "char_plane_anti",
-    "char_plane_sym",
-    "check_equilibrium",
-    "crack_reference_fields",
-    "det_vs_charfn",
-    "dipolar_stress",
-    "displacement",
-    "edge_forces",
     "eigenfield",
-    "energy_scaling",
-    "find_roots",
-    "monopolar_stress",
-    "null_space",
-    "pde_residual",
-    "resultant_on_arc",
-    "run_suite",
-    "singular_ratio",
     "smallest_exponents",
-    "solution_from_amplitudes",
-    "special_p1_field",
-    "special_p1_solution",
-    "strain",
-    "strain_energy_density",
-    "total_stress_r",
-    "total_stress_theta",
-    "validate_case",
 ]

@@ -39,7 +39,6 @@ from .model import (
 from .fields import dipolar_series, total_theta_series
 
 __all__ = [
-    "DegenerateBasis",
     "EmptyNullSpace",
     "BCSystem",
     "third_member_ratio",
@@ -62,10 +61,6 @@ _BC_MATERIAL_MU = 1.0
 _BC_MATERIAL_C = 1.0
 
 
-class DegenerateBasis(Exception):
-    """A basis member degenerates to the zero field at this exponent."""
-
-
 class EmptyNullSpace(Exception):
     """The face-condition system has no null vector at this exponent."""
 
@@ -84,14 +79,12 @@ def _single(coef, r_exp, freq, kind):
 
 
 def basis_fields(case: WedgeCase, p: float, nu: float | None = None, *,
-                 strict: bool = False, keep_zero: bool = False
-                 ) -> tuple[tuple, tuple]:
+                 keep_zero: bool = False) -> tuple[tuple, tuple]:
     """Standard degree-p basis members for the given symmetry class.
 
     Returns (fields, kept_indices). Members that degenerate to the zero
     field are dropped (kept_indices records the survivors) unless
-    keep_zero is set; with strict=True a degenerate member raises
-    DegenerateBasis instead. Plane modes require nu.
+    keep_zero is set. Plane modes require nu.
     """
     mode = case.mode
     members: list[DisplacementField] = []
@@ -132,12 +125,8 @@ def basis_fields(case: WedgeCase, p: float, nu: float | None = None, *,
 
     fields, kept = [], []
     for j, member in enumerate(members):
-        if member.is_zero:
-            if strict:
-                raise DegenerateBasis(
-                    f"basis member {j} vanishes identically at p = {p}")
-            if not keep_zero:
-                continue
+        if member.is_zero and not keep_zero:
+            continue
         fields.append(member)
         kept.append(j)
     return tuple(fields), tuple(kept)
@@ -264,8 +253,8 @@ def _field_samples(fields, a: float) -> np.ndarray:
     return np.array(cols).T
 
 
-def eigenfield(case: WedgeCase, material: MaterialParams, p: float, *,
-               null_tol: float = NULL_TOL) -> EigenSolution:
+def eigenfield(case: WedgeCase, material: MaterialParams,
+               p: float) -> EigenSolution:
     """Eigenfields of the wedge at exponent p.
 
     For p = 1 returns the constant-strain family (valid at every wedge
@@ -278,7 +267,7 @@ def eigenfield(case: WedgeCase, material: MaterialParams, p: float, *,
     if abs(p - 1.0) <= 1e-12:
         return special_p1_solution(case, material)
     system = bc_matrix(case, p, material.nu)
-    vectors = null_space(system, tol=null_tol)
+    vectors = null_space(system)
     if not vectors:
         raise EmptyNullSpace(
             f"no eigenfield at p = {p} for mode {case.mode.value} with "

@@ -6,19 +6,18 @@ characteristic function is the bracket times a polynomial prefactor whose
 roots (p = 1, p = 2) correspond to degenerate basis configurations rather
 than genuine eigenvalues, so root scanning operates on the bracket alone.
 
-All functions are vectorized over p.
+All functions are vectorized over p. The three brackets also accept
+complex p, so the root scanner can take their exact derivative by the
+complex step, f'(p) = Im f(p + ih) / h; real p gives real values.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 
 from .model import Mode, WedgeCase
 
 __all__ = [
-    "CharKind",
     "char_plane_sym",
     "char_plane_anti",
     "char_antiplane",
@@ -29,17 +28,6 @@ __all__ = [
 ]
 
 
-class CharKind(Enum):
-    """Tags naming each characteristic-function flavor."""
-
-    PLANE_SYM_BRACKET = "plane-sym-bracket"
-    PLANE_ANTI_BRACKET = "plane-anti-bracket"
-    ANTIPLANE_BRACKET = "antiplane-bracket"
-    PLANE_SYM_FULL = "plane-sym-full"
-    PLANE_ANTI_FULL = "plane-anti-full"
-    ANTIPLANE_FULL = "antiplane-full"
-
-
 def char_plane_sym(p, a, nu):
     """Bracket whose zeros are the symmetric in-plane exponents.
 
@@ -47,13 +35,13 @@ def char_plane_sym(p, a, nu):
     2(5-4nu)(1 - cos 2 pi p) >= 0, so every root at those angles is a
     no-sign-change (even multiplicity) root.
     """
-    p = np.asarray(p, dtype=float)
+    p = _exponent(p)
     q = p - 1.0
     part = 2.0 * q * (np.cos(2.0 * q * a) + np.cos(4.0 * a) - 1.0)
     part -= (p - 2.0) * np.cos(2.0 * (p + 1.0) * a)
     part -= p * np.cos(2.0 * (p - 3.0) * a)
     out = q * part + 2.0 * (5.0 - 4.0 * nu) * (1.0 - np.cos(4.0 * q * a))
-    return out if out.ndim else float(out)
+    return out if out.ndim else out.item()
 
 
 def char_plane_anti(p, a, nu):
@@ -63,13 +51,13 @@ def char_plane_anti(p, a, nu):
     to -2(5-4nu)(1 - cos 2 pi p) <= 0; zero sets coincide with the
     symmetric bracket at those two angles.
     """
-    p = np.asarray(p, dtype=float)
+    p = _exponent(p)
     q = p - 1.0
     part = 2.0 * q * (np.cos(2.0 * q * a) - np.cos(4.0 * a) + 1.0)
     part -= (p - 2.0) * np.cos(2.0 * (p + 1.0) * a)
     part -= p * np.cos(2.0 * (p - 3.0) * a)
     out = q * part - 2.0 * (5.0 - 4.0 * nu) * (1.0 - np.cos(4.0 * q * a))
-    return out if out.ndim else float(out)
+    return out if out.ndim else out.item()
 
 
 def char_antiplane(p, a):
@@ -78,9 +66,9 @@ def char_antiplane(p, a):
     Reduces to 3 sin(2 pi p) at a = pi and to -3 sin(pi p) at a = pi/2;
     simple roots at both limits.
     """
-    p = np.asarray(p, dtype=float)
+    p = _exponent(p)
     out = (p - 1.0) * np.sin(2.0 * a) + 3.0 * np.sin(2.0 * (p - 1.0) * a)
-    return out if out.ndim else float(out)
+    return out if out.ndim else out.item()
 
 
 def prefactor_plane(p):
@@ -113,6 +101,12 @@ def char_full(p, case: WedgeCase, nu=None):
     if case.mode.is_plane:
         return prefactor_plane(p) * bracket
     return prefactor_antiplane(p) * bracket
+
+
+def _exponent(p):
+    """p as a float array, or as a complex one for a complex step."""
+    p = np.asarray(p)
+    return p if np.iscomplexobj(p) else p.astype(float)
 
 
 def _require_nu(nu):

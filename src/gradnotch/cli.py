@@ -24,9 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,6 +49,11 @@ _P1_CONSTANT_COUNT = {Mode.PLANE_SYM: 2, Mode.PLANE_ANTI: 1,
                       Mode.ANTIPLANE_ODD: 1}
 _P1_CONSTANT_NAMES = {Mode.PLANE_SYM: "c1,c3", Mode.PLANE_ANTI: "c2",
                       Mode.ANTIPLANE_ODD: "e"}
+
+# bounds on the work one command may ask for: a scan up to p = 100 takes
+# about 1e5 grid points, a sweep of 10001 angles a few seconds
+_MAX_P = 100.0
+_MAX_SWEEP_ANGLES = 10001
 
 _ANTIPLANE_EQUILIBRIUM_MSG = (
     "anti-plane sectors are not supported: the in-plane resultants "
@@ -161,9 +164,12 @@ def _scan_options(args) -> RootScanOptions:
     if p_max is not None:
         if p_max <= 1.0:
             raise UsageError(f"--p-max must exceed 1, got {p_max:g}")
+        if not p_max <= _MAX_P:
+            raise UsageError(f"--p-max must not exceed {_MAX_P:g}, "
+                             f"got {p_max:g}")
         kwargs["p_max"] = p_max
     if tol is not None:
-        if tol <= 0.0:
+        if not tol > 0.0:
             raise UsageError(f"--tol must be positive, got {tol:g}")
         kwargs["refine_tol"] = tol
     return RootScanOptions(**kwargs)
@@ -219,8 +225,12 @@ def _sweep_angles(args) -> list:
                          f"got [{lo:g}, {hi:g}]")
     if lo > hi:
         raise UsageError(f"--from ({lo:g}) exceeds --to ({hi:g})")
-    if step <= 0.0:
+    if not step > 0.0:
         raise UsageError(f"--step must be positive, got {step:g}")
+    if not (hi - lo) / step < _MAX_SWEEP_ANGLES:
+        raise UsageError(f"a sweep may hold at most {_MAX_SWEEP_ANGLES} "
+                         f"angles; --step {step:g} over [{lo:g}, {hi:g}] "
+                         f"asks for more")
     angles = []
     i = 0
     while True:
@@ -238,14 +248,10 @@ def cmd_sweep(args) -> int:
     angles = _sweep_angles(args)
     nu_text = "" if args.nu is None else _fmt(args.nu)
 
-    def one(angle_deg: float):
-        case = WedgeCase(half_angle_a=math.radians(angle_deg), mode=mode)
-        return smallest_exponents(case, nu)
-
-    workers = min(8, len(angles), os.cpu_count() or 1)
     try:
-        with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-            summaries = list(pool.map(one, angles))
+        summaries = [smallest_exponents(
+            WedgeCase(half_angle_a=math.radians(angle_deg), mode=mode), nu)
+            for angle_deg in angles]
     except NoRootFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -303,15 +309,14 @@ def cmd_field(args) -> int:
         raise UsageError(f"--theta-steps must be at least 2, "
                          f"got {args.theta_steps}")
     thetas = np.linspace(-half_angle, half_angle, args.theta_steps)
+    rr = np.repeat(radii, len(thetas))
+    tt = np.tile(thetas, len(radii))
 
     keys = PLANE_FIELD_KEYS if mode.is_plane else ANTIPLANE_FIELD_KEYS
     series = field_series_map(field, material)
+    columns = [rr, tt] + [series[key].eval(rr, tt) for key in keys]
     lines = ["r,theta," + ",".join(keys)]
-    for r in radii:
-        for theta in thetas:
-            values = [series[key].eval(r, float(theta)) for key in keys]
-            lines.append(",".join(
-                [_fmt(r), _fmt(theta)] + [_fmt(v) for v in values]))
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -467,7 +472,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Poisson ratio in [0, 0.5); required for plane "
                             "modes, ignored for ap")
     p_eig.add_argument("--p-max", type=float, default=None,
-                       help="upper end of the exponent scan (default 4)")
+                       help=f"upper end of the exponent scan (default 4, "
+                            f"at most {_MAX_P:g})")
     p_eig.add_argument("--tol", type=float, default=None,
                        help="root refinement tolerance (default 1e-12)")
     _add_material_flags(p_eig)
@@ -483,7 +489,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--to", dest="to_deg", type=float, required=True,
                          help="last half-angle in degrees")
     p_sweep.add_argument("--step", type=float, default=0.5,
-                         help="angle increment in degrees (default 0.5)")
+                         help=f"angle increment in degrees (default 0.5); "
+                              f"at most {_MAX_SWEEP_ANGLES} angles")
     p_sweep.add_argument("--out", default="-",
                          help="output path, '-' for stdout (default)")
     _add_material_flags(p_sweep)

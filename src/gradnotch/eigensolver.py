@@ -4,24 +4,35 @@ The wedge brackets are transcendental with a mix of simple (sign-change)
 roots and even-multiplicity roots where the function touches zero without
 crossing — at the crack and half-space limits every in-plane root is of the
 latter type, and near those limits touch roots split into pairs of simple
-roots closer together than any practical grid. The scanner therefore
-combines three detectors on a uniform grid: exact grid zeros, bracketed
-sign changes (polished with Brent), and interior local minima of |f| with
-no grid sign change. The last are resolved by a finer sub-grid (crossing
-pairs), then by bounded minimization polished with a bracketed root find
-on the centered difference of f (the derivative crosses zero at an even
-root). Even-multiplicity candidates are accepted only if the refined |f|
-is below 1e-10 of the grid scale; accepted and rejected candidates both
-emit a NoSignChange warning.
+roots closer together than any practical grid.
+
+The scanner samples the bracket f on a uniform grid and has two triggers:
+
+* a sign change of f across a grid cell (a grid value of exactly zero
+  counts as a change on both sides) holds a simple root, refined by
+  Brent's method on f;
+* a dip, a local minimum of |f| with no sign change over three grid
+  points, holds an extremum x* of f, found to full precision by Brent's
+  method on the exact derivative f' over the dip's two cells (f is flat
+  at an even root, so x* cannot be polished on f). If f(x*) has the
+  other sign, the dip hides a close pair of simple roots, and each is
+  refined by Brent's method on f on its side of x*. If |f(x*)| is below
+  1e-10 of the grid scale max(1, max|f|), x* is an even-multiplicity
+  root. Otherwise the dip holds no root. Accepted and rejected touches
+  both emit a NoSignChange warning.
+
+The derivative is exact to rounding: the brackets accept complex p, and
+f'(p) = Im f(p + ih) / h with h = 1e-30 (the complex-step method, Squire
+and Trapp 1998), which involves no difference of nearby values.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .charfn import char_bracket
 from .model import WedgeCase
@@ -37,11 +48,20 @@ __all__ = [
     "smallest_exponents",
 ]
 
-# local-minimum candidate filter and acceptance threshold, relative to the
+# the scan window opens just above p = 1 because every bracket vanishes at
+# p = 1 for every wedge angle (the constant-strain solution is handled
+# separately, not by scanning)
+_P_MIN = 1.0 + 1e-6
+_GRID_STEP = 1e-3
+# refined roots closer than this are one root
+_CLUSTER_MERGE = 1e-9
+# dip candidate filter and touch acceptance threshold, relative to the
 # grid scale max(1, max|f|)
 _CANDIDATE_REL = 1e-3
 _ACCEPT_REL = 1e-10
-_FD_STEP = 1e-6
+# complex step of the derivative
+_STEP = 1e-30
+_EPS = np.finfo(float).eps
 
 
 class NoSignChange(UserWarning):
@@ -62,18 +82,11 @@ class NoRootFound(Exception):
 
 @dataclass(frozen=True)
 class RootScanOptions:
-    """Scan window and tolerances for find_roots.
+    """Upper end of the scan window (p_max) and the root refinement
+    tolerance (refine_tol) for find_roots."""
 
-    The window opens just above p = 1 because every bracket vanishes at
-    p = 1 for every wedge angle (the constant-strain solution is handled
-    separately, not by scanning).
-    """
-
-    p_min: float = 1.0 + 1e-6
     p_max: float = 4.0
-    grid_step: float = 1e-3
     refine_tol: float = 1e-12
-    cluster_merge: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,129 +118,130 @@ class ExponentSummary:
                    exp_total=p - 3.0)
 
 
+def _brent(f, a, b, fa, fb, tol):
+    """Zero of f in [a, b], where fa = f(a) and fb = f(b) differ in sign
+    or one is zero (Brent 1973, ch. 4): bracketed inverse quadratic and
+    secant steps, falling back to bisection, until the bracket is narrower
+    than tol + 4 eps |x|."""
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if fb * fc > 0.0:
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                e = d = m
+        else:
+            e = d = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+
+
+class _Scan:
+    """The bracket of one case, its exact derivative, and the triggers of
+    its grid scan."""
+
+    def __init__(self, case: WedgeCase, nu, options: RootScanOptions | None):
+        opts = options or RootScanOptions()
+        if not opts.p_max > _P_MIN:
+            raise ValueError(f"p_max must exceed {_P_MIN!r}")
+        self.case, self.nu = case, nu
+        self.tol = opts.refine_tol
+        self.top = opts.p_max + _CLUSTER_MERGE
+        n = max(int(round((opts.p_max - _P_MIN) / _GRID_STEP)), 2)
+        # two extra cells past p_max so endpoint roots are still bracketed
+        grid = _P_MIN + _GRID_STEP * np.arange(n + 3)
+        vals = np.asarray(char_bracket(grid, case, nu), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("the bracket is not finite on the scan grid")
+        self.scale = max(1.0, float(np.max(np.abs(vals[grid <= self.top]))))
+
+        sign = np.sign(vals)
+        absv = np.abs(vals)
+        mid = np.arange(1, len(grid) - 1)
+        dips = mid[(absv[mid] <= absv[mid - 1]) & (absv[mid] <= absv[mid + 1])
+                   & (sign[mid - 1] == sign[mid]) & (sign[mid] == sign[mid + 1])
+                   & (absv[mid] < _CANDIDATE_REL * self.scale)]
+        crossings = np.nonzero(sign[:-1] != sign[1:])[0]
+        cells = sorted([(i, i + 1, False) for i in crossings]
+                       + [(i - 1, i + 1, True) for i in dips])
+        # (lo, hi, is_dip), ascending: a sign change of f across [lo, hi]
+        # or a dip of |f| at its midpoint
+        self.triggers = [(float(grid[lo]), float(grid[hi]), dip)
+                         for lo, hi, dip in cells]
+
+    def f(self, p):
+        return char_bracket(p, self.case, self.nu)
+
+    def df(self, p):
+        return char_bracket(complex(p, _STEP), self.case, self.nu).imag / _STEP
+
+    def roots(self, lo, hi, dip):
+        """Refined roots of one trigger inside the scan window, ascending."""
+        f, tol = self.f, self.tol
+        flo, fhi = f(lo), f(hi)
+        if not dip:
+            found = [_brent(f, lo, hi, flo, fhi, tol)]
+        else:
+            dlo, dhi = self.df(lo), self.df(hi)
+            if dlo * dhi > 0.0:
+                x = 0.5 * (lo + hi)     # no extremum of f bracketed
+            else:
+                x = _brent(self.df, lo, hi, dlo, dhi, 0.0)
+            fx = f(x)
+            if fx * flo < 0.0:
+                found = [_brent(f, lo, x, flo, fx, tol),
+                         _brent(f, x, hi, fx, fhi, tol)]
+            else:
+                accepted = abs(fx) < _ACCEPT_REL * self.scale
+                warnings.warn(NoSignChange(x, fx, accepted), stacklevel=3)
+                found = [x] if accepted else []
+        return [p for p in found if _P_MIN < p <= self.top]
+
+    def merged(self, roots):
+        """Ascending roots with those closer than _CLUSTER_MERGE merged,
+        keeping the best |f|."""
+        groups = []
+        for p in roots:
+            if groups and p - groups[-1][-1] <= _CLUSTER_MERGE:
+                groups[-1].append(p)
+            else:
+                groups.append([p])
+        return [min(g, key=lambda x: abs(self.f(x))) for g in groups]
+
+
 def find_roots(case: WedgeCase, nu=None, options: RootScanOptions | None = None):
-    """All bracket roots in (p_min, p_max], sorted ascending.
+    """All bracket roots in the scan window (1 + 1e-6, p_max], ascending.
 
-    Roots are refined to interval width below refine_tol and merged within
-    cluster_merge. NoSignChange warnings are emitted for even-multiplicity
-    roots and for rejected no-sign-change local minima.
+    Simple roots are refined to a bracket width below refine_tol, even
+    ones to full precision, and roots within 1e-9 are merged. NoSignChange
+    warnings are emitted for even-multiplicity roots and for rejected
+    dips.
     """
-    opts = options or RootScanOptions()
-    if not opts.p_max > opts.p_min:
-        raise ValueError("p_max must exceed p_min")
-
-    def f(p):
-        return float(char_bracket(p, case, nu))
-
-    step = opts.grid_step
-    n = int(round((opts.p_max - opts.p_min) / step))
-    n = max(n, 2)
-    # two extra cells past p_max so endpoint roots are still bracketed
-    grid = opts.p_min + step * np.arange(n + 3)
-    vals = np.asarray(char_bracket(grid, case, nu), dtype=float)
-    in_window = grid <= opts.p_max + opts.cluster_merge
-    scale = max(1.0, float(np.max(np.abs(vals[in_window]))))
-
-    found = []
-
-    # exact zeros on the grid
-    for i in np.nonzero(vals == 0.0)[0]:
-        found.append(float(grid[i]))
-
-    # bracketed sign changes
-    for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
-        root = brentq(f, float(grid[i]), float(grid[i + 1]),
-                      xtol=opts.refine_tol, rtol=4.0 * np.finfo(float).eps)
-        found.append(float(root))
-
-    # no-sign-change candidates: interior local minima of |f|
-    absv = np.abs(vals)
-    interior = np.arange(1, len(grid) - 1)
-    is_min = (absv[interior] <= absv[interior - 1]) & (absv[interior] <= absv[interior + 1])
-    same_sign = (np.sign(vals[interior - 1]) == np.sign(vals[interior])) \
-        & (np.sign(vals[interior]) == np.sign(vals[interior + 1]))
-    small = absv[interior] < _CANDIDATE_REL * scale
-    for i in interior[is_min & same_sign & small]:
-        roots, note = _refine_candidate(
-            f, float(grid[i - 1]), float(grid[i + 1]), step, scale, opts)
-        if note is not None:
-            warnings.warn(NoSignChange(*note), stacklevel=2)
-        found.extend(roots)
-
-    found = [p for p in found if opts.p_min < p <= opts.p_max + opts.cluster_merge]
-    return _merge_clusters(sorted(found), opts.cluster_merge, f)
-
-
-_SUBGRID = 81
-
-
-def _refine_candidate(f, lo, hi, step, scale, opts):
-    """Resolve the structure behind a dip of |f| with no grid sign change.
-
-    Three outcomes, in order of trial:
-
-    * the dip hides a sign excursion narrower than the grid step — a pair
-      of nearby simple roots: a finer sub-grid (or the bracketed sign of f
-      at its interior extremum) exposes the crossings, and both roots are
-      polished with Brent (no warning: these are ordinary roots); pairs
-      tighter than about (hi - lo) / 80 that are not yet exact touches are
-      beyond the resolution and reported only via the rejection warning;
-    * the refined extremum has |f| at the roundoff floor — an
-      even-multiplicity touch root, accepted with a NoSignChange warning;
-    * otherwise a genuinely positive dip, rejected with a warning.
-
-    Returns (roots, warning_args_or_None).
-    """
-    rtol = 4.0 * np.finfo(float).eps
-
-    # sub-grid sweep for crossings hidden inside the cells; a crossing is
-    # trusted only if both cell ends are clearly above the roundoff floor
-    xs = np.linspace(lo, hi, _SUBGRID)
-    fv = np.array([f(x) for x in xs])
-    floor = _ACCEPT_REL * scale * 1e-2
-    cells = np.nonzero((fv[:-1] * fv[1:] < 0.0)
-                       & (np.abs(fv[:-1]) > floor)
-                       & (np.abs(fv[1:]) > floor))[0]
-    if len(cells):
-        roots = [float(brentq(f, float(xs[i]), float(xs[i + 1]),
-                              xtol=opts.refine_tol, rtol=rtol))
-                 for i in cells]
-        return roots, None
-
-    # bounded |f| minimization, then polish via the bracketed zero of the
-    # centered-difference derivative (an even root is a derivative zero)
-    res = minimize_scalar(lambda x: abs(f(x)), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-13})
-    x0 = float(res.x)
-
-    def g(x):
-        return (f(x + _FD_STEP) - f(x - _FD_STEP)) / (2.0 * _FD_STEP)
-
-    if g(x0 - step) * g(x0 + step) < 0.0:
-        x0 = float(brentq(g, x0 - step, x0 + step, xtol=1e-14, rtol=rtol))
-    f0 = f(x0)
-    if abs(f0) < _ACCEPT_REL * scale:
-        return [x0], (x0, f0, True)
-    if f0 * f(lo) < 0.0:
-        # extremum overshoots zero: a crossing pair after all
-        roots = [float(brentq(f, lo, x0, xtol=opts.refine_tol, rtol=rtol)),
-                 float(brentq(f, x0, hi, xtol=opts.refine_tol, rtol=rtol))]
-        return roots, None
-    return [], (x0, f0, False)
-
-
-def _merge_clusters(roots, merge_tol, f):
-    """Merge refined roots closer than merge_tol, keeping the best |f|."""
-    out = []
-    group = []
-    for p in roots:
-        if group and p - group[-1] > merge_tol:
-            out.append(min(group, key=lambda x: abs(f(x))))
-            group = []
-        group.append(p)
-    if group:
-        out.append(min(group, key=lambda x: abs(f(x))))
-    return out
+    scan = _Scan(case, nu, options)
+    return scan.merged(sorted(p for trigger in scan.triggers
+                              for p in scan.roots(*trigger)))
 
 
 def admissible_eigenvalues(case: WedgeCase, nu=None,
@@ -236,32 +250,36 @@ def admissible_eigenvalues(case: WedgeCase, nu=None,
 
     The constant-strain p = 1 solution exists for every wedge angle (its
     gradient stresses vanish identically, so it satisfies the complete
-    field equations, and it carries bounded energy). Bracket roots at or
-    below p = 1 — possible only with a user-lowered p_min — are reported
-    but flagged inadmissible.
+    field equations, and it carries bounded energy). Every bracket root
+    lies above p = 1, so its energy is bounded too.
     """
     entries = [AdmissibleRoot(p=1.0, kind="special_p1", admissible=True,
                               reason="constant-strain solution valid for "
                                      "every wedge angle")]
     for p in find_roots(case, nu, options):
-        if p > 1.0:
-            entries.append(AdmissibleRoot(p=p, kind="bracket_root",
-                                          admissible=True,
-                                          reason="bracket root with bounded "
-                                                 "energy (p > 1)"))
-        else:
-            entries.append(AdmissibleRoot(p=p, kind="bracket_root",
-                                          admissible=False,
-                                          reason="unbounded energy"))
+        entries.append(AdmissibleRoot(p=p, kind="bracket_root",
+                                      admissible=True,
+                                      reason="bracket root with bounded "
+                                             "energy (p > 1)"))
     return entries
 
 
 def smallest_exponents(case: WedgeCase, nu=None,
                        options: RootScanOptions | None = None) -> ExponentSummary:
-    """Exponent summary for the smallest admissible bracket root."""
-    for entry in admissible_eigenvalues(case, nu, options):
-        if entry.kind == "bracket_root" and entry.admissible:
-            return ExponentSummary.from_p(entry.p)
-    raise NoRootFound(
-        f"no admissible bracket root for mode {case.mode.value} at "
-        f"half-angle {case.half_angle_a:.6g}")
+    """Exponent summary for the smallest bracket root.
+
+    The scan refines triggers in ascending order and stops once no later
+    trigger can hold a root that would merge with the smallest one, so the
+    result equals find_roots(...)[0].
+    """
+    scan = _Scan(case, nu, options)
+    found = []
+    for trigger in scan.triggers:
+        if found and trigger[0] > found[-1] + _CLUSTER_MERGE:
+            break
+        found = sorted(found + scan.roots(*trigger))
+    if not found:
+        raise NoRootFound(
+            f"no admissible bracket root for mode {case.mode.value} at "
+            f"half-angle {case.half_angle_a:.6g}")
+    return ExponentSummary.from_p(scan.merged(found)[0])

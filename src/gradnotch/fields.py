@@ -21,11 +21,8 @@ forms, independent of the pipeline, so they serve as oracles for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .model import (
     DisplacementField,
-    EigenSolution,
     MaterialParams,
     Mode,
     PolarPoint,
@@ -33,10 +30,6 @@ from .model import (
 )
 
 __all__ = [
-    "StrainTensor",
-    "MonopolarStress",
-    "DipolarStress",
-    "TotalTraction",
     "strain_series",
     "monopolar_series",
     "dipolar_series",
@@ -44,64 +37,11 @@ __all__ = [
     "total_r_series",
     "energy_density_series",
     "field_series_map",
-    "displacement",
-    "strain",
-    "monopolar_stress",
-    "dipolar_stress",
-    "total_stress_theta",
-    "total_stress_r",
-    "strain_energy_density",
     "crack_reference_fields",
     "crack_mode_std_amplitudes",
     "crack_mode_p1_constants",
     "reference_general_series",
 ]
-
-
-# ----------------------------------------------------------------------
-# pointwise value containers (unused components stay None)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StrainTensor:
-    eps_rr: float | None = None
-    eps_tt: float | None = None
-    eps_rt: float | None = None
-    eps_rz: float | None = None
-    eps_tz: float | None = None
-
-
-@dataclass(frozen=True)
-class MonopolarStress:
-    tau_rr: float | None = None
-    tau_tt: float | None = None
-    tau_rt: float | None = None
-    tau_zz: float | None = None
-    tau_rz: float | None = None
-    tau_tz: float | None = None
-
-
-@dataclass(frozen=True)
-class DipolarStress:
-    m_rrr: float | None = None
-    m_rrt: float | None = None
-    m_rtt: float | None = None
-    m_trr: float | None = None
-    m_ttr: float | None = None
-    m_ttt: float | None = None
-    m_rrz: float | None = None
-    m_rtz: float | None = None
-    m_trz: float | None = None
-    m_ttz: float | None = None
-
-
-@dataclass(frozen=True)
-class TotalTraction:
-    t_tr: float | None = None
-    t_tt: float | None = None
-    t_rr: float | None = None
-    t_rt: float | None = None
-    t_tz: float | None = None
 
 
 # ----------------------------------------------------------------------
@@ -256,69 +196,6 @@ def field_series_map(field: DisplacementField, material: MaterialParams) -> dict
         out.update(total_r_series(field, material))
     out["W"] = energy_density_series(field, material)
     return out
-
-
-# ----------------------------------------------------------------------
-# pointwise API on eigensolutions
-# ----------------------------------------------------------------------
-
-def _resolved(sol: EigenSolution, amp, include_p1=True) -> DisplacementField:
-    return sol.combined_field(amp, include_p1=include_p1)
-
-
-def displacement(sol: EigenSolution, amp_index, point: PolarPoint,
-                 include_p1: bool = True) -> tuple:
-    """Displacement components at a point: (u_r, u_theta) or (w,)."""
-    f = _resolved(sol, amp_index, include_p1)
-    if f.mode.is_plane:
-        return (f.u_r.eval(point.r, point.theta),
-                f.u_theta.eval(point.r, point.theta))
-    return (f.w.eval(point.r, point.theta),)
-
-
-def strain(sol: EigenSolution, amp_index, point: PolarPoint) -> StrainTensor:
-    f = _resolved(sol, amp_index)
-    vals = {k: s.eval(point.r, point.theta)
-            for k, s in strain_series(f).items()}
-    return StrainTensor(**vals)
-
-
-def monopolar_stress(sol: EigenSolution, amp_index,
-                     point: PolarPoint) -> MonopolarStress:
-    f = _resolved(sol, amp_index)
-    vals = {k: s.eval(point.r, point.theta)
-            for k, s in monopolar_series(f, sol.material).items()}
-    return MonopolarStress(**vals)
-
-
-def dipolar_stress(sol: EigenSolution, amp_index,
-                   point: PolarPoint) -> DipolarStress:
-    f = _resolved(sol, amp_index)
-    vals = {k: s.eval(point.r, point.theta)
-            for k, s in dipolar_series(f, sol.material).items()}
-    return DipolarStress(**vals)
-
-
-def total_stress_theta(sol: EigenSolution, amp_index,
-                       point: PolarPoint) -> TotalTraction:
-    f = _resolved(sol, amp_index)
-    vals = {k: s.eval(point.r, point.theta)
-            for k, s in total_theta_series(f, sol.material).items()}
-    return TotalTraction(**vals)
-
-
-def total_stress_r(sol: EigenSolution, amp_index,
-                   point: PolarPoint) -> TotalTraction:
-    f = _resolved(sol, amp_index)
-    vals = {k: s.eval(point.r, point.theta)
-            for k, s in total_r_series(f, sol.material).items()}
-    return TotalTraction(**vals)
-
-
-def strain_energy_density(sol: EigenSolution, amp_index,
-                          point: PolarPoint) -> float:
-    f = _resolved(sol, amp_index)
-    return energy_density_series(f, sol.material).eval(point.r, point.theta)
 
 
 # ----------------------------------------------------------------------

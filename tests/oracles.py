@@ -5,7 +5,8 @@ and elementary numerics, without importing the package under test, so that
 test comparisons are made against a genuinely independent code path:
 
 - a plain bisection root finder and second transcriptions of the three
-  characteristic bracket functions;
+  characteristic bracket functions, with their roots at 30 digits
+  (mpmath);
 - closed-form crack-tip corner forces and arc tractions for the symmetric
   and anti-symmetric in-plane crack modes;
 - the u_theta/u_r coupling ratio of the third plane basis member;
@@ -15,6 +16,7 @@ test comparisons are made against a genuinely independent code path:
 
 import math
 
+import mpmath
 from scipy.integrate import quad
 
 
@@ -72,24 +74,56 @@ def min_of_abs(f, lo, hi, n=20001):
 # characteristic brackets (independent transcription)
 # ----------------------------------------------------------------------
 
-def bracket_plane_sym(p, a, nu):
+# each bracket evaluates with the cos/sin of `lib`: math for doubles,
+# mpmath for high precision
+
+def bracket_plane_sym(p, a, nu, lib=math):
     q = p - 1.0
-    part = 2.0 * q * (math.cos(2.0 * q * a) + math.cos(4.0 * a) - 1.0)
-    part -= (p - 2.0) * math.cos(2.0 * (p + 1.0) * a)
-    part -= p * math.cos(2.0 * (p - 3.0) * a)
-    return q * part + 2.0 * (5.0 - 4.0 * nu) * (1.0 - math.cos(4.0 * q * a))
+    part = 2.0 * q * (lib.cos(2.0 * q * a) + lib.cos(4.0 * a) - 1.0)
+    part -= (p - 2.0) * lib.cos(2.0 * (p + 1.0) * a)
+    part -= p * lib.cos(2.0 * (p - 3.0) * a)
+    return q * part + 2.0 * (5.0 - 4.0 * nu) * (1.0 - lib.cos(4.0 * q * a))
 
 
-def bracket_plane_anti(p, a, nu):
+def bracket_plane_anti(p, a, nu, lib=math):
     q = p - 1.0
-    part = 2.0 * q * (math.cos(2.0 * q * a) - math.cos(4.0 * a) + 1.0)
-    part -= (p - 2.0) * math.cos(2.0 * (p + 1.0) * a)
-    part -= p * math.cos(2.0 * (p - 3.0) * a)
-    return q * part - 2.0 * (5.0 - 4.0 * nu) * (1.0 - math.cos(4.0 * q * a))
+    part = 2.0 * q * (lib.cos(2.0 * q * a) - lib.cos(4.0 * a) + 1.0)
+    part -= (p - 2.0) * lib.cos(2.0 * (p + 1.0) * a)
+    part -= p * lib.cos(2.0 * (p - 3.0) * a)
+    return q * part - 2.0 * (5.0 - 4.0 * nu) * (1.0 - lib.cos(4.0 * q * a))
 
 
-def bracket_antiplane(p, a):
-    return (p - 1.0) * math.sin(2.0 * a) + 3.0 * math.sin(2.0 * (p - 1.0) * a)
+def bracket_antiplane(p, a, nu=None, lib=math):
+    return (p - 1.0) * lib.sin(2.0 * a) + 3.0 * lib.sin(2.0 * (p - 1.0) * a)
+
+
+BRACKETS = {"plane-sym": bracket_plane_sym, "plane-anti": bracket_plane_anti,
+             "antiplane-odd": bracket_antiplane}
+
+
+def mp_root(mode_label, angle_deg, nu, lo, hi, touch=False):
+    """Bracket root in [lo, hi] at 30 digits, with the half-angle taken as
+    the exact decimal `angle_deg`; f (or f' with touch=True, which locates
+    an even-multiplicity root) must change sign over [lo, hi].
+
+    Returns (root, |f(root)|), the root rounded to the nearest double.
+    """
+    bracket = BRACKETS[mode_label]
+    with mpmath.workdps(30):
+        a = mpmath.mpf(str(angle_deg)) * mpmath.pi / 180
+        nu_mp = None if nu is None else mpmath.mpf(nu)
+
+        def f(p):
+            return bracket(p, a, nu_mp, lib=mpmath)
+
+        def g(p):
+            return mpmath.diff(f, p) if touch else f(p)
+
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        if g(lo) * g(hi) >= 0:
+            raise ValueError(f"no sign change on [{lo}, {hi}]")
+        root = mpmath.findroot(g, (lo, hi), solver="anderson")
+        return float(root), float(abs(f(root)))
 
 
 def antiplane_root(a, lo=1.0 + 1e-6, hi=2.5):

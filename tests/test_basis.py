@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 import oracles
-from gradnotch.basis import (DegenerateBasis, EmptyNullSpace, basis_fields,
-                             bc_matrix, eigenfield, null_space,
-                             singular_ratio, solution_from_amplitudes,
-                             special_p1_field, special_p1_solution,
-                             third_member_ratio)
+from gradnotch.basis import (EmptyNullSpace, basis_fields, bc_matrix,
+                             eigenfield, null_space, singular_ratio,
+                             solution_from_amplitudes, special_p1_field,
+                             special_p1_solution, third_member_ratio)
 from gradnotch.eigensolver import find_roots
 from gradnotch.model import MaterialParams, Mode, WedgeCase
 
@@ -84,9 +83,10 @@ def test_antiplane_members():
 
 
 def test_antiplane_second_member_degenerates_at_two():
-    with pytest.raises(DegenerateBasis):
-        basis_fields(_case(math.pi / 2, Mode.ANTIPLANE_ODD), 2.0,
-                     strict=True)
+    members, kept = basis_fields(_case(math.pi / 2, Mode.ANTIPLANE_ODD), 2.0,
+                                 keep_zero=True)
+    assert kept == (0, 1)
+    assert members[1].is_zero and not members[0].is_zero
     members, kept = basis_fields(_case(math.pi / 2, Mode.ANTIPLANE_ODD), 2.0)
     assert kept == (0,)
     assert len(members) == 1

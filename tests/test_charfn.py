@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,6 +69,28 @@ def test_antiplane_bracket_matches_independent_transcription():
         for a in A_GRID:
             assert char_antiplane(p, a) == pytest.approx(
                 oracles.bracket_antiplane(p, a), rel=1e-13, abs=1e-12)
+
+
+def test_complex_step_gives_the_exact_derivative():
+    # Im f(p + ih) / h against the 30-digit derivative of the oracle
+    # transcription, and real input still gives a real float
+    h = 1e-30
+    for mode, nu in [(Mode.PLANE_SYM, 0.3), (Mode.PLANE_ANTI, 0.2),
+                     (Mode.ANTIPLANE_ODD, None)]:
+        bracket = oracles.BRACKETS[mode.value]
+        for a in A_GRID:
+            case = WedgeCase(half_angle_a=a, mode=mode)
+            for p in P_GRID[::3]:
+                value = char_bracket(float(p), case, nu)
+                assert type(value) is float
+                step = char_bracket(complex(p, h), case, nu)
+                assert step.real == pytest.approx(value, rel=1e-15, abs=1e-15)
+                with mpmath.workdps(30):
+                    ref = float(mpmath.diff(
+                        lambda x: bracket(x, mpmath.mpf(a), nu, lib=mpmath),
+                        mpmath.mpf(float(p))))
+                assert step.imag / h == pytest.approx(ref, rel=1e-12,
+                                                      abs=1e-12)
 
 
 def test_every_bracket_vanishes_at_unit_exponent():

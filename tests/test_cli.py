@@ -6,10 +6,18 @@ import json
 import math
 import shutil
 import subprocess
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from gradnotch import cli
+from gradnotch.basis import attach_p1, eigenfield
 from gradnotch.cli import main
+from gradnotch.eigensolver import admissible_eigenvalues
+from gradnotch.fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
+                              field_series_map)
+from gradnotch.model import MaterialParams, Mode, WedgeCase
 from gradnotch.verify import CheckResult, SuiteReport
 
 PLANE_HEADER = ("r,theta,u_r,u_t,eps_rr,eps_tt,eps_rt,tau_rr,tau_tt,tau_rt,"
@@ -94,6 +102,32 @@ def test_eig_usage_errors(capsys):
                               "--mu", "-1"])
     assert rc == 1
 
+    rc, _, err = run(capsys, ["eig", "--mode", "ap", "--angle-deg", "120",
+                              "--tol", "nan"])
+    assert rc == 1
+    assert "--tol" in err
+
+
+def test_unbounded_work_is_refused_before_any_allocation(capsys,
+                                                        monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solver was called")
+
+    monkeypatch.setattr(cli, "admissible_eigenvalues", no_work)
+    monkeypatch.setattr(cli, "smallest_exponents", no_work)
+    tracemalloc.start()
+    try:
+        sweep = run(capsys, ["sweep", "--mode", "ap", "--from", "90",
+                             "--to", "180", "--step", "1e-9"])
+        eig = run(capsys, ["eig", "--mode", "ap", "--angle-deg", "120",
+                           "--p-max", "1e9"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sweep[0] == 1 and "10001 angles" in sweep[2]
+    assert eig[0] == 1 and "must not exceed 100" in eig[2]
+    assert peak < 1 << 20
+
 
 # ----------------------------------------------------------------------
 # sweep
@@ -150,6 +184,10 @@ def test_sweep_usage_errors(capsys):
 
     rc, _, _ = run(capsys, ["sweep", "--mode", "ap", "--from", "90",
                             "--to", "100", "--step", "0"])
+    assert rc == 1
+
+    rc, _, _ = run(capsys, ["sweep", "--mode", "ap", "--from", "90",
+                            "--to", "100", "--step", "nan"])
     assert rc == 1
 
     rc, _, _ = run(capsys, ["sweep", "--mode", "ap", "--from", "30",
@@ -223,6 +261,49 @@ def test_field_with_p1_adds_linear_part(capsys):
               for r0, r1 in zip(body0, body1)]
     assert abs(deltas[1]) > 1e-12
     assert deltas[6] / deltas[1] == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode,angle,nu,index,with_p1", [
+    ("ps-sym", "150", "0.3", 1, "0.2,-0.1"),
+    ("ps-sym", "180", "0.3", 2, None),
+    ("ps-anti", "120", "0.25", 2, "0.7"),
+    ("ap", "135", None, 1, "0.4"),
+    ("ap", "180", None, 0, None),
+])
+def test_field_rows_match_pointwise_evaluation(capsys, mode, angle, nu,
+                                               index, with_p1):
+    # the reference evaluates every component point by point
+    mode_enum = {"ps-sym": Mode.PLANE_SYM, "ps-anti": Mode.PLANE_ANTI,
+                 "ap": Mode.ANTIPLANE_ODD}[mode]
+    half_angle = math.radians(float(angle))
+    case = WedgeCase(half_angle_a=half_angle, mode=mode_enum)
+    nu_value = None if nu is None else float(nu)
+    material = MaterialParams(nu=nu_value or 0.0)
+    entry = admissible_eigenvalues(case, nu_value)[index]
+    sol = eigenfield(case, material, entry.p)
+    amps = [1.0 - 0.75 * k for k in range(sol.nullity)]
+    if with_p1 is not None:
+        sol = attach_p1(sol, [float(x) for x in with_p1.split(",")])
+    series = field_series_map(sol.combined_field(amps, include_p1=True),
+                              material)
+    keys = PLANE_FIELD_KEYS if mode_enum.is_plane else ANTIPLANE_FIELD_KEYS
+    lines = ["r,theta," + ",".join(keys)]
+    for r in (0.25, 1.0, 3.0):
+        for theta in np.linspace(-half_angle, half_angle, 9):
+            values = [r, theta] + [series[key].eval(r, float(theta))
+                                   for key in keys]
+            lines.append(",".join("%.17g" % v for v in values))
+
+    argv = ["field", "--mode", mode, "--angle-deg", angle,
+            "--eig-index", str(index), "--amps", ",".join(map(repr, amps)),
+            "--r", "0.25,1,3", "--theta-steps", "9"]
+    if nu is not None:
+        argv += ["--nu", nu]
+    if with_p1 is not None:
+        argv += ["--with-p1", with_p1]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_field_usage_errors(capsys):

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from gradnotch.eigensolver import (AdmissibleRoot, NoRootFound,
 from gradnotch.model import Mode, WedgeCase
 
 CRACK_HALF_INTEGERS = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+REFINE_TOL = RootScanOptions().refine_tol
 
 
 def _case(angle_rad, mode):
@@ -120,3 +125,77 @@ def test_full_scan_is_fast():
     start = time.perf_counter()
     find_roots(_case(2.3, Mode.PLANE_SYM), 0.3)
     assert time.perf_counter() - start < 1.0
+
+
+# every root in (1, 4] at the interval limits, and the touch roots at 135
+# degrees; in-plane roots at these angles are even-multiplicity (touch)
+# roots, anti-plane ones are simple
+LIMIT_ROOTS = [
+    (Mode.PLANE_SYM, 90.0, [2.0, 3.0, 4.0]),
+    (Mode.PLANE_ANTI, 90.0, [2.0, 3.0, 4.0]),
+    (Mode.ANTIPLANE_ODD, 90.0, [2.0, 3.0, 4.0]),
+    (Mode.PLANE_SYM, 135.0, [7.0 / 3.0, 11.0 / 3.0]),
+    (Mode.PLANE_ANTI, 135.0, [5.0 / 3.0, 3.0]),
+    (Mode.PLANE_SYM, 180.0, CRACK_HALF_INTEGERS),
+    (Mode.PLANE_ANTI, 180.0, CRACK_HALF_INTEGERS),
+    (Mode.ANTIPLANE_ODD, 180.0, CRACK_HALF_INTEGERS),
+]
+
+
+@pytest.mark.parametrize("mode,angle_deg,guesses", LIMIT_ROOTS)
+def test_limit_roots_match_mpmath_to_refine_tol(mode, angle_deg, guesses):
+    nu = None if mode is Mode.ANTIPLANE_ODD else 0.3
+    roots = find_roots(_case(math.radians(angle_deg), mode), nu)
+    if angle_deg != 135.0:
+        assert len(roots) == len(guesses)
+    for guess in guesses:
+        ref, f_ref = oracles.mp_root(mode.value, angle_deg, nu,
+                                     guess - 1e-3, guess + 1e-3,
+                                     touch=mode.is_plane)
+        assert ref == pytest.approx(guess, abs=1e-12)
+        assert f_ref < 1e-20      # a zero of f, not only of f'
+        assert min(abs(p - ref) for p in roots) <= REFINE_TOL
+
+
+@pytest.mark.parametrize("angle_deg,limits", [
+    (179.0, [1.5, 2.0, 2.5, 3.0, 3.5]),
+    (90.01, [2.0, 3.0, 4.0]),
+])
+@pytest.mark.parametrize("mode", [Mode.PLANE_SYM, Mode.PLANE_ANTI])
+def test_close_pairs_near_the_limits_match_mpmath(mode, angle_deg, limits):
+    # each touch root of the limit splits into two simple roots closer
+    # together than the scan grid resolves without the dip trigger
+    roots = find_roots(_case(math.radians(angle_deg), mode), 0.3)
+    assert len(roots) == 2 * len(limits)
+    for limit in limits:
+        pair = [p for p in roots if abs(p - limit) < 0.03]
+        assert len(pair) == 2
+        assert pair[1] - pair[0] < 0.025
+    for p in roots:
+        ref, f_ref = oracles.mp_root(mode.value, angle_deg, 0.3,
+                                     p - 1e-9, p + 1e-9)
+        assert f_ref < 1e-20
+        assert abs(p - ref) <= REFINE_TOL
+
+
+@pytest.mark.parametrize("mode,nu", [
+    (Mode.PLANE_SYM, 0.3), (Mode.PLANE_ANTI, 0.3),
+    (Mode.ANTIPLANE_ODD, None),
+])
+def test_smallest_exponent_is_the_first_root_bit_for_bit(mode, nu):
+    # the angles of the built-in sweep suite
+    for angle_deg in np.arange(90.0, 180.5, 1.0):
+        case = _case(math.radians(angle_deg), mode)
+        assert smallest_exponents(case, nu).p == find_roots(case, nu)[0]
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, gradnotch.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -13,8 +13,8 @@ from gradnotch.fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
                               crack_mode_p1_constants,
                               crack_mode_std_amplitudes,
                               crack_reference_fields, dipolar_series,
-                              field_series_map, monopolar_series,
-                              reference_general_series, strain_energy_density,
+                              energy_density_series, field_series_map,
+                              monopolar_series, reference_general_series,
                               strain_series, total_r_series,
                               total_theta_series)
 from gradnotch.model import (DisplacementField, MaterialParams, Mode,
@@ -209,16 +209,16 @@ def test_strains_match_finite_difference_of_displacement():
                                       abs=1e-8)
 
 
-def test_energy_density_is_nonnegative_and_matches_pointwise_api():
+def test_energy_density_is_nonnegative_and_matches_combined_field():
     for mode, p, nu, amps in GENERAL_CASES[:4]:
         sol, mat = _solution(mode, p, nu, amps)
         w_series = field_series_map(sol.fields[0], mat)["W"]
+        combined = energy_density_series(sol.combined_field(0), mat)
         for r, theta in POINTS:
             w = w_series.eval(r, theta)
             assert w >= -1e-12 * w_series.max_abs_coef()
-            assert strain_energy_density(
-                sol, 0, PolarPoint(r, theta)) == pytest.approx(
-                    w, rel=1e-12, abs=1e-14)
+            assert combined.eval(r, theta) == pytest.approx(
+                w, rel=1e-12, abs=1e-14)
 
 
 def test_series_map_key_order_matches_output_contract():
