@@ -8,6 +8,12 @@ enforce them on theta = +a, giving a square linear system in the basis
 amplitudes. Eigenvalues p are where that system is singular; eigenfields
 are its null vectors.
 
+The system is assembled from the closed-form face operators of
+fields.face_rows, as one stack of matrices over an array of exponents
+(one numpy determinant serves a whole grid of p). The constitutive
+series pipeline (apply_bc_operators) builds the same matrix by an
+independent route; it serves bc_residual and the tests as an oracle.
+
 Degeneracies handled here:
 
 * at p = 2 the anti-plane second member vanishes identically (its angular
@@ -17,17 +23,19 @@ Degeneracies handled here:
   the null space picks up a direction with identically zero field, which
   eigenfield filters out by sampling;
 * the third-member coupling ratio has a pole at p = 7 - 8 nu, where the
-  member is rescaled by the pole factor to stay finite.
+  member is rescaled by the pole factor to stay finite;
+* a sin(0 theta) face term is identically zero, so it adds nothing to
+  its column's scale (as in the canonical series).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
+    KEY_TOL,
     DisplacementField,
     EigenSolution,
     MaterialParams,
@@ -36,7 +44,7 @@ from .model import (
     WedgeCase,
     validate_case,
 )
-from .fields import dipolar_series, total_theta_series
+from .fields import dipolar_series, face_rows, total_theta_series
 
 __all__ = [
     "EmptyNullSpace",
@@ -138,7 +146,8 @@ def apply_bc_operators(field: DisplacementField, nu: float) -> tuple:
     Plane modes: (r^3 t_tr, r^3 t_tt, m_ttr, m_ttt); anti-plane:
     (r^3 t_tz, r^2 m_ttz). Evaluated with unit stiffness and unit gradient
     coefficient: the face conditions are homogeneous, so material scaling
-    drops out and only nu enters.
+    drops out and only nu enters. This runs the constitutive pipeline, an
+    independent route to the closed forms that bc_matrix assembles.
     """
     material = MaterialParams(nu=nu, mu=_BC_MATERIAL_MU, c=_BC_MATERIAL_C)
     m = dipolar_series(field, material)
@@ -147,6 +156,32 @@ def apply_bc_operators(field: DisplacementField, nu: float) -> tuple:
         return (t["t_tr"].times_r_power(3), t["t_tt"].times_r_power(3),
                 m["m_ttr"], m["m_ttt"])
     return (t["t_tz"].times_r_power(3), m["m_ttz"].times_r_power(2))
+
+
+def _face_stack(case: WedgeCase, p: np.ndarray, nu: float | None):
+    """Face-condition matrices and column scales of every basis member
+    (degenerate ones kept) at each exponent of the 1-D array p.
+
+    Returns (matrices, col_scales) of shapes (n_p, rows, members) and
+    (n_p, members). The entries are the closed-form face operators at
+    (r, theta) = (1, a); a column's scale is its largest coefficient,
+    as in the canonical series the pipeline would build.
+    """
+    rows = face_rows(case.mode, p, nu)
+    coef = rows.coef
+    if case.mode.is_plane:
+        # the third member is rescaled by its pole factor only near the
+        # pole, exactly as basis_fields builds it
+        pole = p - 7.0 + 8.0 * nu
+        near = np.abs(pole) < _POLE_TOL
+        coef[:, :, 2] /= np.where(near, 1.0, pole)[:, np.newaxis]
+    freq = rows.freq[:, np.newaxis, :]
+    is_sin = np.array([kind == "sin" for kind in rows.kinds])[:, np.newaxis]
+    # canonical form drops sin terms of zero frequency
+    coef = np.where(is_sin & (np.abs(freq) <= KEY_TOL), 0.0, coef)
+    angle = freq * case.half_angle_a
+    matrix = coef * np.where(is_sin, np.sin(angle), np.cos(angle))
+    return matrix, np.max(np.abs(coef), axis=1)
 
 
 @dataclass(frozen=True)
@@ -168,28 +203,20 @@ def bc_matrix(case: WedgeCase, p: float, nu: float, *,
               keep_zero: bool = False) -> BCSystem:
     """Assemble the face-condition system at exponent p."""
     fields, kept = basis_fields(case, p, nu, keep_zero=keep_zero)
-    a = case.half_angle_a
-    n_rows = 4 if case.mode.is_plane else 2
-    matrix = np.zeros((n_rows, len(fields)))
-    scales = np.zeros(len(fields))
-    for j, member in enumerate(fields):
-        ops = apply_bc_operators(member, nu)
-        for i, series in enumerate(ops):
-            if not series.is_zero and series.degree() is None:
-                raise ValueError(
-                    "face-condition series of a single-degree member is "
-                    "not homogeneous")
-            matrix[i, j] = series.eval(1.0, a)
-        scales[j] = max(s.max_abs_coef() for s in ops)
+    matrix, scales = _face_stack(case, np.array([float(p)]), nu)
+    cols = list(kept)
     return BCSystem(case=case, p=p, nu=nu, fields=fields, kept=kept,
-                    matrix=matrix, col_scales=scales)
+                    matrix=matrix[0][:, cols], col_scales=scales[0][cols])
 
 
-def bc_det(case: WedgeCase, p: float, nu: float) -> float:
+def bc_det(case: WedgeCase, p, nu: float):
     """Determinant of the raw square face-condition matrix (degenerate
-    members kept, so the determinant vanishes with them)."""
-    system = bc_matrix(case, p, nu, keep_zero=True)
-    return float(np.linalg.det(system.matrix))
+    members kept, so the determinant vanishes with them), at a scalar p
+    (returns a float) or at each p of a 1-D array (returns an array)."""
+    p_arr = np.asarray(p, dtype=float)
+    matrix, _ = _face_stack(case, np.atleast_1d(p_arr), nu)
+    det = np.linalg.det(matrix)
+    return float(det[0]) if p_arr.ndim == 0 else det
 
 
 def _normalized(system: BCSystem) -> np.ndarray:

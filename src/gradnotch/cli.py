@@ -51,9 +51,11 @@ _P1_CONSTANT_NAMES = {Mode.PLANE_SYM: "c1,c3", Mode.PLANE_ANTI: "c2",
                       Mode.ANTIPLANE_ODD: "e"}
 
 # bounds on the work one command may ask for: a scan up to p = 100 takes
-# about 1e5 grid points, a sweep of 10001 angles a few seconds
+# about 1e5 grid points, a sweep of 10001 angles a few seconds, a field
+# grid of 1e6 rows a few hundred megabytes of CSV
 _MAX_P = 100.0
 _MAX_SWEEP_ANGLES = 10001
+_MAX_FIELD_ROWS = 1_000_000
 
 _ANTIPLANE_EQUILIBRIUM_MSG = (
     "anti-plane sectors are not supported: the in-plane resultants "
@@ -265,11 +267,27 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _field_radii(args) -> tuple:
+    """The --r values, checked with --theta-steps before any solve."""
+    radii = _parse_floats(args.r, "--r")
+    if not all(math.isfinite(r) and r > 0.0 for r in radii):
+        raise UsageError("--r values must be positive and finite")
+    if args.theta_steps < 2:
+        raise UsageError(f"--theta-steps must be at least 2, "
+                         f"got {args.theta_steps}")
+    if len(radii) * args.theta_steps > _MAX_FIELD_ROWS:
+        raise UsageError(f"a field grid may hold at most {_MAX_FIELD_ROWS} "
+                         f"rows; {len(radii)} radii x {args.theta_steps} "
+                         f"theta steps asks for more")
+    return radii
+
+
 def cmd_field(args) -> int:
     mode = _resolve_mode(args.mode)
     half_angle = _check_angle(args.angle_deg)
     nu = _resolve_nu(args, mode)
     material = _material(args, nu)
+    radii = _field_radii(args)
     case = WedgeCase(half_angle_a=half_angle, mode=mode)
 
     entries = admissible_eigenvalues(case, nu)
@@ -302,12 +320,6 @@ def cmd_field(args) -> int:
         sol = attach_p1(sol, constants)
     field = sol.combined_field(list(amps), include_p1=True)
 
-    radii = _parse_floats(args.r, "--r")
-    if any(r <= 0.0 for r in radii):
-        raise UsageError("--r values must be positive")
-    if args.theta_steps < 2:
-        raise UsageError(f"--theta-steps must be at least 2, "
-                         f"got {args.theta_steps}")
     thetas = np.linspace(-half_angle, half_angle, args.theta_steps)
     rr = np.repeat(radii, len(thetas))
     tt = np.tile(thetas, len(radii))
@@ -511,7 +523,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--r", required=True,
                          help="comma-separated radii")
     p_field.add_argument("--theta-steps", type=int, required=True,
-                         help="number of theta samples spanning [-a, +a]")
+                         help="number of theta samples spanning [-a, +a] "
+                              f"(radii x steps at most {_MAX_FIELD_ROWS})")
     p_field.add_argument("--with-p1", default=None,
                          help="attach a constant-strain part: c1,c3 for "
                               "ps-sym, c2 for ps-anti, e for ap")

@@ -16,11 +16,18 @@ The module also carries literal closed-form transcriptions of the crack-tip
 fields (crack_reference_fields) and of the general-exponent fields
 (reference_general_series). Both are written directly from the closed
 forms, independent of the pipeline, so they serve as oracles for it.
+The face operators of the general-exponent fields live in one table,
+face_rows, vectorized over p: the face-condition matrix in basis is
+assembled from it, and the pipeline is in turn that matrix's oracle.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
+
+import numpy as np
+
 from .model import (
     DisplacementField,
     MaterialParams,
@@ -40,6 +47,8 @@ __all__ = [
     "crack_reference_fields",
     "crack_mode_std_amplitudes",
     "crack_mode_p1_constants",
+    "FaceRows",
+    "face_rows",
     "reference_general_series",
 ]
 
@@ -422,6 +431,96 @@ def crack_mode_p1_constants(mode_label: str, amps) -> tuple:
 # the dual-construction checks)
 # ----------------------------------------------------------------------
 
+class FaceRows(NamedTuple):
+    """Face operators of the standard degree-p basis members, closed form.
+
+    Operator keys[i] of member j is the single term
+    coef[k, i, j] * r**(p[k] + r_shift[i]) * kinds[i](freq[k, j] * theta)
+    at exponent p[k], with unit mu and c (every face operator is
+    proportional to mu * c). The plane third member enters multiplied
+    through by its pole factor p - 7 + 8 nu, which keeps every
+    coefficient finite.
+    """
+
+    keys: tuple
+    kinds: tuple
+    r_shift: tuple
+    coef: np.ndarray
+    freq: np.ndarray
+
+
+def face_rows(mode: Mode, p, nu: float | None) -> FaceRows:
+    """Closed-form face operators of the standard basis members at every
+    exponent of the 1-D array p: the plane rows (t_tr, t_tt, m_ttr, m_ttt)
+    and the anti-plane rows (t_tz, m_ttz), one column per member.
+
+    This is the one transcription of the face conditions: the
+    face-condition matrix and reference_general_series both read it.
+    Plain arithmetic only, so p and nu may also be mpmath numbers (p an
+    object array) for a high-precision reference.
+    """
+    p = np.asarray(p)
+    f1 = p - 1.0
+    if mode is Mode.ANTIPLANE_ODD:
+        # (key, prefactor, member coefficients, kind, r shift)
+        table = (("t_tz", -f1 * (p - 2.0), (p, p + 2.0), "cos", -3.0),
+                 ("m_ttz", -f1, (p, p - 4.0), "sin", -2.0))
+        freq = (p, p - 2.0)
+    else:
+        if nu is None:
+            raise ValueError("plane-mode face conditions require nu")
+        w12 = 1.0 - 2.0 * nu
+        e1 = (1.0 + p) * (1.0 - nu) / w12
+        e4 = (nu - 1.0 + p * nu) / w12
+        g1 = (3.0 * nu - 2.0 - p * nu) / w12
+        g3 = p * p - 3.0 * p + 8.0 * nu - 8.0
+        g4 = (2.0 - p - 3.0 * nu + p * nu) / w12
+        t3 = 2.0 * (p * p + p - 8.0 * nu + 8.0)
+        m3 = 2.0 * (p * p - 7.0 * p - 8.0 * nu + 16.0)
+        # (key, prefactor, (sym, anti) member coefficients, sym kind,
+        # r shift); the anti-symmetric class takes the other trig kind
+        rows = (
+            ("t_tr", 2.0 * f1 * (p - 2.0),
+             ((e1, -e1), (p, -p), (g3, -g3), (e4, e4)), "sin", -3.0),
+            ("t_tt", f1 * (p - 2.0),
+             ((p + 1.0, p + 1.0), (2.0 * p, 2.0 * p), (t3, t3),
+              (-(p + 1.0), p + 1.0)), "cos", -3.0),
+            ("m_ttr", -f1,
+             ((p - 3.0, p - 3.0), (2.0 * p, 2.0 * p), (m3, m3),
+              (-(p - 3.0), p - 3.0)), "cos", -2.0),
+            ("m_ttt", 2.0 * f1,
+             ((g1, -g1), (p, -p), (g3, -g3), (g4, g4)), "sin", -2.0),
+        )
+        sym = mode is Mode.PLANE_SYM
+        flip = {"cos": "sin", "sin": "cos"}
+        table = tuple(
+            (key, pref, tuple(cs if sym else ca for cs, ca in coefs),
+             kind if sym else flip[kind], shift)
+            for key, pref, coefs, kind, shift in rows)
+        freq = (f1, p + 1.0, p - 3.0, f1)
+    coef = np.stack([np.stack([pref * c for c in coefs], axis=-1)
+                     for _, pref, coefs, _, _ in table], axis=-2)
+    return FaceRows(keys=tuple(row[0] for row in table),
+                    kinds=tuple(row[3] for row in table),
+                    r_shift=tuple(row[4] for row in table),
+                    coef=coef, freq=np.stack(freq, axis=-1))
+
+
+def _face_series(mode: Mode, p: float, nu: float | None, amps,
+                 material: MaterialParams) -> dict:
+    """Face operators of a degree-p field with standard amplitudes amps."""
+    rows = face_rows(mode, np.array([p]), nu)
+    weights = [material.mu * material.c * float(x) for x in amps]
+    if mode.is_plane:
+        # the standard third member is the pole-scaled one over the pole
+        weights[2] /= p + 8.0 * nu - 7.0
+    return {key: PolarSeries(tuple(
+                (float(rows.coef[0, i, j]) * w, p + rows.r_shift[i],
+                 float(rows.freq[0, j]), rows.kinds[i])
+                for j, w in enumerate(weights)))
+            for i, key in enumerate(rows.keys)}
+
+
 def reference_general_series(mode: Mode, p: float, nu: float, amps,
                              material: MaterialParams) -> dict:
     """Closed-form series for a general degree-p field, given standard
@@ -430,7 +529,7 @@ def reference_general_series(mode: Mode, p: float, nu: float, amps,
     Transcribed directly from the general closed forms, independent of the
     constitutive pipeline. Covers strains, monopolar stresses (without the
     out-of-plane component), dipolar stresses, and the theta-face total
-    tractions.
+    tractions; the face operators come from face_rows.
     """
     mu, c = material.mu, material.c
     if mode is Mode.ANTIPLANE_ODD:
@@ -447,11 +546,10 @@ def reference_general_series(mode: Mode, p: float, nu: float, amps,
             "tau_rz": ser(p - 1, mu * p, 1.0, 1.0, "sin"),
             "tau_tz": ser(p - 1, mu, p, p - 2.0, "cos"),
             "m_trz": ser(p - 2, mu * c * (p - 1), p, p - 2.0, "cos"),
-            "m_ttz": ser(p - 2, -mu * c * (p - 1), p, p - 4.0, "sin"),
             "m_rrz": ser(p - 2, mu * c * p * (p - 1), 1.0, 1.0, "sin"),
-            "t_tz": ser(p - 3, -mu * c * (p - 1) * (p - 2), p, p + 2.0, "cos"),
         }
         out["m_rtz"] = out["m_trz"]
+        out.update(_face_series(mode, p, nu, (d1, d2), material))
         return out
 
     if len(tuple(amps)) != 4:
@@ -479,14 +577,9 @@ def reference_general_series(mode: Mode, p: float, nu: float, amps,
     k3 = (p * p - 7.0 * p + 8.0 * nu) / pole
     k1b = (1.0 - nu + p * nu) / w12
     k3b = (p * p + p + 8.0 * nu - 8.0) / pole
-    g1 = (3.0 * nu - 2.0 - p * nu) / w12
-    g3 = (p * p - 3.0 * p + 8.0 * nu - 8.0) / pole
-    g4 = (2.0 - p - 3.0 * nu + p * nu) / w12
     h1 = (1.0 - 3.0 * nu - p + p * nu) / w12
     h3 = (p * p - 11.0 * p + 8.0 * nu + 16.0) / pole
     h4 = (1.0 - 3.0 * nu + p * nu) / w12
-    e1 = (1.0 + p) * (1.0 - nu) / w12
-    e4 = (nu - 1.0 + p * nu) / w12
 
     rows_tau_rr = [(0, k1, k1, f1, "cos"), (1, p, p, f2, "cos"),
                    (2, k3, k3, f3, "cos"),
@@ -515,29 +608,11 @@ def reference_general_series(mode: Mode, p: float, nu: float, amps,
         "tau_tt": build(p - 1, 2.0 * mu, rows_tau_tt),
         "tau_rt": build(p - 1, mu, rows_tau_rt),
         "m_rrr": build(p - 2, 2.0 * c * mu * f1, rows_tau_rr),
-        "m_ttt": build(p - 2, 2.0 * c * mu * f1,
-                       [(0, g1, -g1, f1, "sin"), (1, p, -p, f2, "sin"),
-                        (2, g3, -g3, f3, "sin"), (3, g4, g4, f1, "sin")]),
-        "m_ttr": build(p - 2, -c * mu * f1,
-                       [(0, p - 3.0, p - 3.0, f1, "cos"),
-                        (1, 2.0 * p, 2.0 * p, f2, "cos"),
-                        (2, 2.0 * (p * p - 7.0 * p - 8.0 * nu + 16.0) / pole,
-                         2.0 * (p * p - 7.0 * p - 8.0 * nu + 16.0) / pole,
-                         f3, "cos"),
-                        (3, -(p - 3.0), p - 3.0, f1, "cos")]),
         "m_rrt": build(p - 2, c * mu * f1, rows_tau_rt),
         "m_trr": build(p - 2, 2.0 * c * mu * f1,
                        [(0, h1, -h1, f1, "sin"), (1, -p, p, f2, "sin"),
                         (2, -h3, h3, f3, "sin"), (3, -h4, -h4, f1, "sin")]),
         "m_rtt": build(p - 2, 2.0 * c * mu * f1, rows_tau_tt),
-        "t_tr": build(p - 3, 2.0 * c * mu * f1 * (p - 2.0),
-                      [(0, e1, -e1, f1, "sin"), (1, p, -p, f2, "sin"),
-                       (2, g3, -g3, f3, "sin"), (3, e4, e4, f1, "sin")]),
-        "t_tt": build(p - 3, c * mu * f1 * (p - 2.0),
-                      [(0, p + 1.0, p + 1.0, f1, "cos"),
-                       (1, 2.0 * p, 2.0 * p, f2, "cos"),
-                       (2, 2.0 * (p * p + p - 8.0 * nu + 8.0) / pole,
-                        2.0 * (p * p + p - 8.0 * nu + 8.0) / pole, f3, "cos"),
-                       (3, -(p + 1.0), p + 1.0, f1, "cos")]),
     }
+    out.update(_face_series(mode, p, nu, a, material))
     return out

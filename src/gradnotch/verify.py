@@ -179,7 +179,7 @@ def det_vs_charfn(case: WedgeCase, nu: float | None = None,
     nu_det = 0.0 if nu is None else nu
 
     grid = np.linspace(p_lo, p_hi, n_grid)
-    det = np.array([_basis.bc_det(case, float(p), nu_det) for p in grid])
+    det = _basis.bc_det(case, grid, nu_det)
 
     roots = [1.0, 2.0]
     roots += [r for r in find_roots(
@@ -197,12 +197,11 @@ def det_vs_charfn(case: WedgeCase, nu: float | None = None,
         return float(np.max(np.abs(det[mask]))) if mask.any() else 0.0
 
     max_root_ratio = 0.0
-    for root in roots:
-        if not (p_lo <= root <= p_hi):
-            continue
-        val = abs(_basis.bc_det(case, root, nu_det))
+    in_range = [root for root in roots if p_lo <= root <= p_hi]
+    root_det = _basis.bc_det(case, np.array(in_range), nu_det)
+    for root, val in zip(in_range, np.abs(root_det)):
         ref = max(window_max(root), _TINY)
-        max_root_ratio = max(max_root_ratio, val / ref)
+        max_root_ratio = max(max_root_ratio, float(val) / ref)
 
     min_off_ratio = math.inf
     for i, p in enumerate(grid):

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 import oracles
-from gradnotch.basis import (EmptyNullSpace, basis_fields, bc_matrix,
-                             eigenfield, null_space, singular_ratio,
+from gradnotch import model
+from gradnotch.basis import (EmptyNullSpace, apply_bc_operators,
+                             basis_fields, bc_det, bc_matrix, eigenfield,
+                             null_space, singular_ratio,
                              solution_from_amplitudes, special_p1_field,
                              special_p1_solution, third_member_ratio)
 from gradnotch.eigensolver import find_roots
+from gradnotch.fields import face_rows
 from gradnotch.model import MaterialParams, Mode, WedgeCase
 
 MAT = MaterialParams(nu=0.3)
@@ -114,6 +118,122 @@ def test_bc_matrix_shapes_and_scales():
     assert all(s > 0 for s in plane.col_scales)
     anti = bc_matrix(_case(2.5, Mode.ANTIPLANE_ODD), 1.7, 0.3)
     assert anti.matrix.shape == (2, 2)
+
+
+def _pipeline_system(case, p, nu):
+    """Face-condition matrix and column scales of every basis member,
+    built through the series pipeline: the operators evaluated at
+    (r, theta) = (1, a), each column scaled by its largest coefficient."""
+    members, _ = basis_fields(case, p, nu, keep_zero=True)
+    matrix = np.zeros((4 if case.mode.is_plane else 2, len(members)))
+    scales = np.zeros(len(members))
+    for j, member in enumerate(members):
+        ops = apply_bc_operators(member, nu)
+        for i, series in enumerate(ops):
+            matrix[i, j] = series.eval(1.0, case.half_angle_a)
+        scales[j] = max(series.max_abs_coef() for series in ops)
+    return matrix, scales
+
+
+def _assert_matches_pipeline(case, p, nu):
+    system = bc_matrix(case, p, nu, keep_zero=True)
+    matrix, scales = _pipeline_system(case, p, nu)
+    label = f"{case.mode.value} a={case.half_angle_a!r} p={p!r} nu={nu!r}"
+    assert system.matrix.shape == matrix.shape, label
+    # 1e-12 leaves room for the pipeline's own roundoff, which grows like
+    # ulp * lambda / mu as nu nears 1/2
+    assert np.all(np.abs(system.matrix - matrix) <= 1e-12 * scales), label
+    assert np.all(np.abs(system.col_scales - scales) <= 1e-12 * scales), label
+
+
+def test_closed_form_face_matrix_matches_pipeline_at_random_cases():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        mode = rng.choice(list(Mode))
+        case = _case(rng.uniform(math.pi / 2, math.pi), mode)
+        _assert_matches_pipeline(case, rng.uniform(1.0, 12.0),
+                                 rng.uniform(-0.9, 0.5))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("angle", [math.pi / 2, math.pi])
+@pytest.mark.parametrize("nu", [-0.9, -0.5, 0.4999])
+def test_closed_form_face_matrix_matches_pipeline_at_degenerate_cases(
+        mode, angle, nu):
+    # p = 2: total tractions vanish, the anti-plane second member is a
+    # zero column; p = 3: the plane third member has a sin(0 theta)
+    # part; p near 7 - 8 nu: the third member is pole-rescaled
+    for p in (1.5, 2.0, 3.0, 4.2, 7.0 - 8.0 * nu + 3e-7):
+        _assert_matches_pipeline(_case(angle, mode), p, nu)
+
+
+@pytest.mark.parametrize("mode", [Mode.PLANE_SYM, Mode.PLANE_ANTI])
+def test_closed_form_face_matrix_holds_digits_as_nu_nears_half(mode):
+    # As nu nears 1/2 the pipeline multiplies roundoff in the dilatation
+    # by lambda / mu (5e3 at nu = 0.4999): just below the pole it is off
+    # by 2.2e-12 of a column's scale. The closed form has no such
+    # amplification; check it against its own 40-digit evaluation.
+    mp = pytest.importorskip("mpmath")
+    nu = 0.4999
+    p = 7.0 - 8.0 * nu - 5e-7
+    case = _case(math.pi / 2, mode)
+    system = bc_matrix(case, p, nu, keep_zero=True)
+    with mp.workdps(40):
+        exact = face_rows(mode, np.array([mp.mpf(p)], dtype=object),
+                          mp.mpf(nu))
+        for i, kind in enumerate(exact.kinds):
+            trig = mp.sin if kind == "sin" else mp.cos
+            for j in range(4):
+                angle = exact.freq[0, j] * case.half_angle_a
+                want = exact.coef[0, i, j] * trig(angle)
+                assert abs(system.matrix[i, j] - want) <= (
+                    1e-15 * system.col_scales[j])
+    for j in range(4):
+        scale = max(abs(exact.coef[0, i, j]) for i in range(4))
+        assert abs(system.col_scales[j] - scale) <= 1e-15 * scale
+
+
+def test_degenerate_face_matrix_columns():
+    anti = bc_matrix(_case(math.pi / 2, Mode.ANTIPLANE_ODD), 2.0, 0.3,
+                     keep_zero=True)
+    assert anti.kept == (0, 1)
+    assert anti.col_scales[1] == 0.0 and np.all(anti.matrix[:, 1] == 0.0)
+    dropped = bc_matrix(_case(math.pi / 2, Mode.ANTIPLANE_ODD), 2.0, 0.3)
+    assert dropped.kept == (0,) and dropped.matrix.shape == (2, 1)
+    # at p = 3 the third member's sin(0 theta) rows leave its scale to
+    # the cos(0 theta) rows, whose entries are their coefficients
+    sym = bc_matrix(_case(2.5, Mode.PLANE_SYM), 3.0, 0.3)
+    assert sym.matrix[0, 2] == 0.0 and sym.matrix[3, 2] == 0.0
+    assert sym.col_scales[2] == max(abs(sym.matrix[1, 2]),
+                                    abs(sym.matrix[2, 2]))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_bc_det_over_an_array_equals_scalar_calls(mode):
+    grid = np.linspace(1.001, 4.0, 601)
+    for angle in (math.pi / 2, 2.3, math.pi):
+        case = _case(angle, mode)
+        batch = bc_det(case, grid, 0.3)
+        assert isinstance(batch, np.ndarray) and batch.shape == grid.shape
+        for p, det in zip(grid, batch):
+            scalar = bc_det(case, float(p), 0.3)
+            assert isinstance(scalar, float)
+            assert scalar == pytest.approx(det, rel=1e-14, abs=0.0)
+
+
+def test_face_determinant_builds_no_series(monkeypatch):
+    built = []
+    canonical = model._canonical
+
+    def counting(raw_terms):
+        built.append(raw_terms)
+        return canonical(raw_terms)
+
+    monkeypatch.setattr(model, "_canonical", counting)
+    case = _case(2.2, Mode.PLANE_SYM)
+    bc_det(case, np.linspace(1.1, 3.9, 50), 0.3)
+    bc_det(case, 1.7, 0.3)
+    assert built == []
 
 
 def test_singular_ratio_collapses_exactly_at_roots():

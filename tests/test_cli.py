@@ -115,17 +115,26 @@ def test_unbounded_work_is_refused_before_any_allocation(capsys,
 
     monkeypatch.setattr(cli, "admissible_eigenvalues", no_work)
     monkeypatch.setattr(cli, "smallest_exponents", no_work)
+    monkeypatch.setattr(cli, "eigenfield", no_work)
+    field = ["field", "--mode", "ap", "--angle-deg", "180",
+             "--eig-index", "1", "--amps", "1"]
     tracemalloc.start()
     try:
         sweep = run(capsys, ["sweep", "--mode", "ap", "--from", "90",
                              "--to", "180", "--step", "1e-9"])
         eig = run(capsys, ["eig", "--mode", "ap", "--angle-deg", "120",
                            "--p-max", "1e9"])
+        big_grid = run(capsys, field + ["--r", "1,2",
+                                        "--theta-steps", "500001"])
+        non_finite = run(capsys, field + ["--r", "nan,inf",
+                                          "--theta-steps", "2"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert sweep[0] == 1 and "10001 angles" in sweep[2]
     assert eig[0] == 1 and "must not exceed 100" in eig[2]
+    assert big_grid[0] == 1 and "at most 1000000 rows" in big_grid[2]
+    assert non_finite[0] == 1 and "finite" in non_finite[2]
     assert peak < 1 << 20
 
 
@@ -334,10 +343,11 @@ def test_field_usage_errors(capsys):
     assert rc == 1
     assert "out of range" in err
 
-    rc, _, _ = run(capsys, ["field", "--mode", "ap", "--angle-deg", "180",
-                            "--eig-index", "1", "--amps", "1",
-                            "--r", "-1", "--theta-steps", "3"])
-    assert rc == 1
+    for radii in ("-1", "1,nan", "inf"):
+        rc, _, _ = run(capsys, ["field", "--mode", "ap", "--angle-deg",
+                                "180", "--eig-index", "1", "--amps", "1",
+                                "--r", radii, "--theta-steps", "3"])
+        assert rc == 1
 
 
 # ----------------------------------------------------------------------
