@@ -21,7 +21,7 @@ Degeneracies handled here:
 * at p = 2 the plane third member coincides with a combination of the
   first and fourth, so the system is singular for every wedge angle and
   the null space picks up a direction with identically zero field, which
-  eigenfield filters out by sampling;
+  eigenfield drops by an exact test on the members' series coefficients;
 * the third-member coupling ratio has a pole at p = 7 - 8 nu, where the
   member is rescaled by the pole factor to stay finite;
 * a sin(0 theta) face term is identically zero, so it adds nothing to
@@ -42,6 +42,7 @@ from .model import (
     Mode,
     PolarSeries,
     WedgeCase,
+    combine_fields,
     validate_case,
 )
 from .fields import dipolar_series, face_rows, total_theta_series
@@ -266,18 +267,55 @@ def singular_ratio(case: WedgeCase, p: float, nu: float) -> float:
     return float(sigma[-1]) / max(float(sigma[0]), 1.0)
 
 
-_SAMPLE_ANGLES = 13
+def _coefficient_matrix(fields) -> np.ndarray:
+    """Displacement-series coefficients of the given members: one column
+    per member, one row per (component, kind, frequency, r exponent) key,
+    keys within KEY_TOL merged as canonical form merges them. A
+    combination of the members is the zero field exactly when its
+    amplitude vector is a null vector of this matrix."""
+    entries = sorted(
+        (c, t.kind, t.freq, t.r_exp, j, t.coef)
+        for j, member in enumerate(fields)
+        for c, comp in enumerate(member.components())
+        for t in comp.terms)
+    keys, rows = [], []
+    for c, kind, freq, r_exp, j, coef in entries:
+        if not (keys and keys[-1][:2] == (c, kind)
+                and abs(freq - keys[-1][2]) <= KEY_TOL
+                and abs(r_exp - keys[-1][3]) <= KEY_TOL):
+            keys.append((c, kind, freq, r_exp))
+            rows.append(np.zeros(len(fields)))
+        rows[-1][j] += coef
+    return np.array(rows).reshape(len(rows), len(fields))
 
 
-def _field_samples(fields, a: float) -> np.ndarray:
-    angles = np.linspace(-a, a, _SAMPLE_ANGLES)
-    cols = []
-    for member in fields:
-        rows = []
-        for comp in member.components():
-            rows.extend(comp.eval(1.0, t) for t in angles)
-        cols.append(rows)
-    return np.array(cols).T
+# a column joins the pivots when its part outside the earlier pivot
+# columns (on an orthonormal basis of the span) exceeds this: at the
+# nullity-2 roots over nu in (-1, 1/2) at 90, 135 and 180 degrees and
+# just inside both ends, parts are either roundoff (below 1e-13) or
+# genuine (above 1e-5)
+_PIVOT_TOL = 1e-9
+
+
+def _echelon(vectors: np.ndarray) -> np.ndarray:
+    """Reduced echelon basis of the column span of vectors, as rows:
+    pivot columns taken left to right, each row at unit norm with its
+    pivot entry positive. It depends on the span only, not on the basis
+    given for it."""
+    q, _ = np.linalg.qr(vectors)
+    span = q.T
+    pivots, found = [], np.zeros((span.shape[0], 0))
+    for j in range(span.shape[1]):
+        part = span[:, j] - found @ (found.T @ span[:, j])
+        size = np.linalg.norm(part)
+        if size > _PIVOT_TOL:
+            pivots.append(j)
+            found = np.column_stack([found, part / size])
+            if len(pivots) == span.shape[0]:
+                break
+    rows = np.linalg.solve(span[:, pivots], span)
+    rows[:, pivots] = np.eye(len(pivots))
+    return rows / np.linalg.norm(rows, axis=1)[:, np.newaxis]
 
 
 def eigenfield(case: WedgeCase, material: MaterialParams,
@@ -285,10 +323,16 @@ def eigenfield(case: WedgeCase, material: MaterialParams,
     """Eigenfields of the wedge at exponent p.
 
     For p = 1 returns the constant-strain family (valid at every wedge
-    angle). Otherwise solves the face conditions, filters out null-space
-    directions whose displacement field is identically zero (basis
-    collapse at p = 2), and packages the survivors. Raises EmptyNullSpace
-    if no genuine eigenfield exists at p.
+    angle). Otherwise solves the face conditions and drops null-space
+    directions whose displacement field is identically zero (the basis
+    collapse at p = 2 on plane modes): a direction is dropped when the
+    members' displacement-series coefficients take it below 1e-6 of
+    their largest singular value, an exact test on the series with
+    nothing sampled. One surviving direction is reported with unit norm
+    and its largest component positive; two or more are reported as the
+    reduced echelon basis of their span (see _echelon), which does not
+    depend on the rotation roundoff gives the null vectors. Raises
+    EmptyNullSpace if no genuine eigenfield exists at p.
     """
     validate_case(material, case)
     if abs(p - 1.0) <= 1e-12:
@@ -301,34 +345,28 @@ def eigenfield(case: WedgeCase, material: MaterialParams,
             f"half-angle {case.half_angle_a}")
 
     v_mat = np.column_stack(vectors)
-    b_mat = _field_samples(system.fields, case.half_angle_a)
+    b_mat = _coefficient_matrix(system.fields)
     sigma_b = np.linalg.svd(b_mat, compute_uv=False)
-    g_mat = b_mat @ v_mat
-    _, sigma_g, wh = np.linalg.svd(g_mat)
+    _, sigma_g, wh = np.linalg.svd(b_mat @ v_mat)
     sigma_g = np.concatenate(
         [sigma_g, np.zeros(v_mat.shape[1] - len(sigma_g))])
     cutoff = 1e-6 * float(sigma_b[0])
-    amps, fields = [], []
-    for i in range(v_mat.shape[1]):
-        if sigma_g[i] <= cutoff:
-            continue
-        v = v_mat @ wh[i, :]
-        v = v / np.linalg.norm(v)
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        combo = None
-        for coef, member in zip(v, system.fields):
-            part = member.scaled(float(coef))
-            combo = part if combo is None else combo + part
-        amps.append(tuple(float(x) for x in v))
-        fields.append(combo)
-    if not fields:
+    kept = [v_mat @ wh[i, :] for i in range(v_mat.shape[1])
+            if sigma_g[i] > cutoff]
+    if not kept:
         raise EmptyNullSpace(
             f"face-condition null space at p = {p} contains only "
             f"zero-field directions (basis collapse)")
+    if len(kept) == 1:
+        v = kept[0] / np.linalg.norm(kept[0])
+        rows = [-v if v[np.argmax(np.abs(v))] < 0 else v]
+    else:
+        rows = _echelon(np.column_stack(kept))
+    amps = tuple(tuple(float(x) for x in v) for v in rows)
+    fields = tuple(combine_fields(v, system.fields) for v in amps)
     return EigenSolution(case=case, material=material, p=p,
                          kind="bracket_root", nullity=len(fields),
-                         amplitudes=tuple(amps), fields=tuple(fields))
+                         amplitudes=amps, fields=fields)
 
 
 def special_p1_field(mode: Mode, constants) -> DisplacementField:
@@ -392,12 +430,8 @@ def solution_from_amplitudes(case: WedgeCase, material: MaterialParams,
             raise ValueError(
                 f"amplitude vector length {len(v)} != basis size "
                 f"{len(members)} at p = {p}")
-        combo = None
-        for coef, member in zip(v, members):
-            part = member.scaled(coef)
-            combo = part if combo is None else combo + part
         amps.append(v)
-        fields.append(combo)
+        fields.append(combine_fields(v, members))
     p1_field = None
     p1_vals = None
     if p1_constants is not None:

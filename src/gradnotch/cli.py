@@ -57,6 +57,9 @@ _MAX_P = 100.0
 _MAX_SWEEP_ANGLES = 10001
 _MAX_FIELD_ROWS = 1_000_000
 
+_NU_HELP = ("Poisson ratio in (-1, 0.5); required for plane modes, "
+            "ignored for ap")
+
 _ANTIPLANE_EQUILIBRIUM_MSG = (
     "anti-plane sectors are not supported: the in-plane resultants "
     "H, V, T and the corner edge forces all vanish identically for an "
@@ -144,10 +147,9 @@ def _resolve_nu(args, mode: Mode) -> float | None:
     if mode is Mode.ANTIPLANE_ODD:
         return None
     if args.nu is None:
-        raise UsageError("--nu is required for plane modes "
-                         "(ps-sym, ps-anti)")
-    if not 0.0 <= args.nu < 0.5:
-        raise UsageError(f"--nu must lie in [0, 0.5), got {args.nu:g}")
+        raise UsageError("--nu is required for plane modes")
+    if not -1.0 < args.nu < 0.5:
+        raise UsageError(f"--nu must lie in (-1, 0.5), got {args.nu:g}")
     return args.nu
 
 
@@ -371,9 +373,7 @@ def cmd_equilibrium(args) -> int:
         print(f"error: {_ANTIPLANE_EQUILIBRIUM_MSG}", file=sys.stderr)
         return 1
     half_angle = _check_angle(args.angle_deg)
-    if args.nu is None or not 0.0 <= args.nu < 0.5:
-        raise UsageError("--nu is required and must lie in [0, 0.5)")
-    material = _material(args, args.nu)
+    material = _material(args, _resolve_nu(args, Mode.PLANE_SYM))
     if args.r0 <= 0.0:
         raise UsageError(f"--r0 must be positive, got {args.r0:g}")
 
@@ -481,8 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eig.add_argument("--angle-deg", type=float, required=True,
                        help="notch half-angle in degrees, 90..180")
     p_eig.add_argument("--nu", type=float, default=None,
-                       help="Poisson ratio in [0, 0.5); required for plane "
-                            "modes, ignored for ap")
+                       help=_NU_HELP)
     p_eig.add_argument("--p-max", type=float, default=None,
                        help=f"upper end of the exponent scan (default 4, "
                             f"at most {_MAX_P:g})")
@@ -495,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="smallest exponent vs. half-angle (CSV)")
     p_sweep.add_argument("--mode", required=True,
                          choices=sorted(_MODE_BY_LABEL))
-    p_sweep.add_argument("--nu", type=float, default=None)
+    p_sweep.add_argument("--nu", type=float, default=None, help=_NU_HELP)
     p_sweep.add_argument("--from", dest="from_deg", type=float, required=True,
                          help="first half-angle in degrees")
     p_sweep.add_argument("--to", dest="to_deg", type=float, required=True,
@@ -513,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--mode", required=True,
                          choices=sorted(_MODE_BY_LABEL))
     p_field.add_argument("--angle-deg", type=float, required=True)
-    p_field.add_argument("--nu", type=float, default=None)
+    p_field.add_argument("--nu", type=float, default=None, help=_NU_HELP)
     p_field.add_argument("--eig-index", type=int, required=True,
                          help="index into the admissible-exponent list "
                               "(0 = constant-strain p = 1 entry)")
@@ -543,7 +542,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            "with null-space coefficients; III is rejected")
     p_eq.add_argument("--angle-deg", type=float, required=True)
     p_eq.add_argument("--amps", required=True)
-    p_eq.add_argument("--nu", type=float, default=None)
+    p_eq.add_argument("--nu", type=float, default=None,
+                      help="Poisson ratio in (-1, 0.5); required")
     p_eq.add_argument("--r0", type=float, default=1.0,
                       help="sector radius (default 1)")
     _add_material_flags(p_eq)

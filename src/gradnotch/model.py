@@ -297,16 +297,6 @@ class PolarSeries:
             out = out + t.coef * rr**t.r_exp * trig(t.freq * th)
         return float(out) if out.ndim == 0 else out
 
-    def angular_at(self, theta) -> float:
-        """Angular factor sum(coef * trig(freq*theta)); requires homogeneity."""
-        if self.terms and self.degree() is None:
-            raise ValueError("series is not homogeneous in r")
-        out = 0.0
-        for t in self.terms:
-            trig = math.cos if t.kind == "cos" else math.sin
-            out += t.coef * trig(t.freq * theta)
-        return out
-
     def degree(self):
         """Common r exponent if homogeneous (zero series -> None)."""
         if not self.terms:
@@ -383,6 +373,27 @@ class DisplacementField:
         return max((s.max_abs_coef() for s in self.components()), default=0.0)
 
 
+def combine_fields(coeffs, fields) -> DisplacementField:
+    """The field sum(coeffs[j] * fields[j]) over fields of one mode.
+
+    Each component is built as one series from the scaled terms of every
+    field, so it is put in canonical form once rather than once per
+    scale and per addition.
+    """
+    if not fields:
+        raise ValueError("empty amplitude combination")
+    mode = fields[0].mode
+    parts = [float(k) for k in coeffs]
+    series = [
+        PolarSeries(tuple((t.coef * k, t.r_exp, t.freq, t.kind)
+                          for k, comp in zip(parts, comps)
+                          for t in comp.terms))
+        for comps in zip(*(f.components() for f in fields))]
+    if mode.is_plane:
+        return DisplacementField.plane(mode, *series)
+    return DisplacementField.antiplane(*series)
+
+
 @dataclass(frozen=True)
 class EigenSolution:
     """An admissible wedge eigensolution.
@@ -392,10 +403,16 @@ class EigenSolution:
     constant-strain p = 1 solution that exists for every wedge angle.
 
     amplitudes holds one coefficient vector per independent solution, in the
-    standard basis-member ordering, normalized to unit Euclidean norm with
-    the largest-magnitude component positive. fields holds the matching
-    assembled displacement fields. For "special_p1" solutions the amplitude
-    vectors are coordinates over the free constants of the special field.
+    standard basis-member ordering, each at unit Euclidean norm. A single
+    vector has its largest-magnitude component positive; two or more are
+    the reduced echelon basis of their span (a vector's pivot is its first
+    entry above roundoff, pivots move right from vector to vector, each
+    pivot entry is positive and the other vectors are zero there), which
+    depends on the span only. At p = 2 on plane
+    modes the amplitudes are defined only up to the zero-field direction
+    of the collapsed basis. fields holds the matching assembled
+    displacement fields. For "special_p1" solutions the amplitude vectors
+    are coordinates over the free constants of the special field.
 
     p1_coefficients/p1_field carry an optional constant-strain part attached
     to a bracket-root solution; includes_p1_part reflects their presence.
@@ -429,11 +446,7 @@ class EigenSolution:
             if len(coeffs) != len(self.fields):
                 raise ValueError(
                     f"expected {len(self.fields)} coefficients, got {len(coeffs)}")
-            out = None
-            for k, f in zip(coeffs, self.fields):
-                out = f.scaled(k) if out is None else out + f.scaled(k)
-            if out is None:
-                raise ValueError("empty amplitude combination")
+            out = combine_fields(coeffs, self.fields)
         if include_p1 and self.p1_field is not None:
             out = out + self.p1_field
         return out

@@ -11,12 +11,14 @@ test comparisons are made against a genuinely independent code path:
   and anti-symmetric in-plane crack modes;
 - the u_theta/u_r coupling ratio of the third plane basis member;
 - centered finite-difference derivative helpers;
+- the zero-field filter by sampling displacement fields at 13 angles;
 - adaptive quadrature (scipy.integrate.quad) for arc resultants.
 """
 
 import math
 
 import mpmath
+import numpy as np
 from scipy.integrate import quad
 
 
@@ -217,3 +219,49 @@ def quad_arc(f, a, tol=1e-12):
     """Adaptive quadrature of f(theta) over [-a, a]."""
     val, _err = quad(f, -a, a, epsabs=tol, epsrel=tol, limit=400)
     return val
+
+
+
+# ----------------------------------------------------------------------
+# zero-field filter by sampling
+# ----------------------------------------------------------------------
+
+def member_samples(members, a, n_angles=13):
+    """Displacement samples of each member (anything with components()
+    whose items have eval(r, theta)): its components at r = 1 and
+    n_angles angles across [-a, a], one column per member."""
+    angles = np.linspace(-a, a, n_angles)
+    return np.array([[comp.eval(1.0, t) for comp in member.components()
+                      for t in angles] for member in members]).T
+
+
+def sampled_zero_field_filter(members, vectors, a):
+    """Null directions whose combined field is not identically zero,
+    decided by sampling: with B the member samples and V the vectors as
+    columns, the directions kept are the right singular vectors of B @ V
+    above 1e-6 of B's top singular value. Returns them as unit amplitude
+    vectors; an empty list if none survives."""
+    if not vectors:
+        return []
+    b_mat = member_samples(members, a)
+    v_mat = np.column_stack(vectors)
+    sigma_b = np.linalg.svd(b_mat, compute_uv=False)
+    _, sigma_g, wh = np.linalg.svd(b_mat @ v_mat)
+    sigma_g = np.concatenate([sigma_g,
+                              np.zeros(v_mat.shape[1] - len(sigma_g))])
+    kept = []
+    for i in range(v_mat.shape[1]):
+        if sigma_g[i] > 1e-6 * sigma_b[0]:
+            v = v_mat @ wh[i, :]
+            kept.append(v / np.linalg.norm(v))
+    return kept
+
+
+def largest_principal_angle(x, y):
+    """Largest principal angle (radians) between the column spans of x
+    and y, which must have full column rank and equal dimension."""
+    qx, _ = np.linalg.qr(np.asarray(x, dtype=float))
+    qy, _ = np.linalg.qr(np.asarray(y, dtype=float))
+    assert qx.shape == qy.shape
+    sine = np.linalg.norm(qy - qx @ (qx.T @ qy), 2)
+    return float(np.arcsin(min(1.0, sine)))

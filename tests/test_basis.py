@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gradnotch import model
+from gradnotch import basis, model
 from gradnotch.basis import (EmptyNullSpace, apply_bc_operators,
                              basis_fields, bc_det, bc_matrix, eigenfield,
                              null_space, singular_ratio,
@@ -304,6 +304,186 @@ def test_plane_degree_two_family_has_zero_total_stress_at_any_angle():
                     for s in dipolar_series(field, MAT).values())
     for series in total_theta_series(field, MAT).values():
         assert series.max_abs_coef() <= 1e-14 * dip_scale
+
+
+# ----------------------------------------------------------------------
+# zero-field filter and the reported basis
+# ----------------------------------------------------------------------
+
+_PLANE_MODES = (Mode.PLANE_SYM, Mode.PLANE_ANTI)
+
+
+def _material(mode, nu):
+    return MaterialParams(nu=0.0 if mode is Mode.ANTIPLANE_ODD else nu)
+
+
+def _filter_cases():
+    """(case, material, p): every root of a seeded case set (all modes;
+    90, 135, 180 degrees, just inside both ends, interior angles), p = 2
+    at 50 angles on plane modes, and one random non-root p per case."""
+    rng = random.Random(20261019)
+    angles = [90.0, 90.0001, 135.0, 179.9999, 180.0]
+    angles += [rng.uniform(91.0, 179.0) for _ in range(6)]
+    for mode in Mode:
+        nus = [0.3] if mode is Mode.ANTIPLANE_ODD else [0.0, 0.3, 0.49, -0.5]
+        for angle in angles:
+            for nu in nus:
+                case = _case(math.radians(angle), mode)
+                material = _material(mode, nu)
+                roots = find_roots(case, None if mode is Mode.ANTIPLANE_ODD
+                                   else nu)
+                for p in roots:
+                    yield case, material, p
+                p = rng.uniform(1.05, 4.0)
+                if all(abs(p - root) > 1e-3 for root in roots):
+                    yield case, material, p
+    for mode in _PLANE_MODES:
+        for angle in np.linspace(90.0, 180.0, 50):
+            yield (_case(math.radians(angle), mode),
+                   MaterialParams(nu=rng.uniform(-0.9, 0.5)), 2.0)
+
+
+def test_exact_zero_field_filter_matches_sampling_oracle():
+    checked = 0
+    for case, material, p in _filter_cases():
+        label = (f"{case.mode.value} a={case.half_angle_a!r} "
+                 f"nu={material.nu!r} p={p!r}")
+        system = bc_matrix(case, p, material.nu)
+        a = case.half_angle_a
+        want = oracles.sampled_zero_field_filter(
+            system.fields, null_space(system), a)
+        try:
+            sol = eigenfield(case, material, p)
+        except EmptyNullSpace:
+            assert want == [], label
+            continue
+        assert sol.nullity == len(want), label
+        samples = oracles.member_samples(system.fields, a)
+        got = samples @ np.array(sol.amplitudes).T
+        assert oracles.largest_principal_angle(
+            got, samples @ np.column_stack(want)) <= 1e-12, label
+        checked += 1
+    assert checked > 500
+
+
+def test_eigenfield_evaluates_no_series(monkeypatch):
+    calls = []
+    evaluate = model.PolarSeries.eval
+
+    def counting(self, r, theta):
+        calls.append((r, theta))
+        return evaluate(self, r, theta)
+
+    monkeypatch.setattr(model.PolarSeries, "eval", counting)
+    for mode in Mode:
+        case = _case(math.pi, mode)
+        for p in (1.5, 2.0, 2.5):
+            eigenfield(case, MAT, p)
+    for mode in _PLANE_MODES:
+        eigenfield(_case(2.2, mode), MAT, 2.0)
+    assert calls == []
+
+
+def test_nullity_one_amplitudes_are_the_normalized_null_vector():
+    # the one surviving direction is the null vector itself, normalized
+    # once more as eigenfield always has: the same bits as before the
+    # exact filter
+    checked = 0
+    for mode in Mode:
+        nu = 0.0 if mode is Mode.ANTIPLANE_ODD else 0.3
+        for angle in (1.7, 2.2, 2.9):
+            case = _case(angle, mode)
+            for p in find_roots(case, None if mode is Mode.ANTIPLANE_ODD
+                                else nu):
+                sol = eigenfield(case, MaterialParams(nu=nu), p)
+                vectors = null_space(bc_matrix(case, p, nu))
+                if sol.nullity != 1 or len(vectors) != 1:
+                    continue
+                v = vectors[0] / np.linalg.norm(vectors[0])
+                assert sol.amplitudes[0] == tuple(float(x) for x in v)
+                checked += 1
+    assert checked >= 20
+
+
+def _pivots(rows):
+    return [int(np.flatnonzero(np.abs(row) > basis._PIVOT_TOL)[0])
+            for row in rows]
+
+
+def _assert_echelon(rows):
+    pivots = _pivots(rows)
+    assert pivots == sorted(set(pivots))
+    for i, (row, j) in enumerate(zip(rows, pivots)):
+        assert np.linalg.norm(row) == pytest.approx(1.0, rel=1e-14)
+        assert row[j] > 0.0
+        # left of its pivot a row holds roundoff only
+        assert np.all(np.abs(row[:j]) <= 1e-13)
+        assert all(rows[k][j] == 0.0 for k in range(len(rows)) if k != i)
+
+
+def _nullity_two_roots(nus):
+    for mode in Mode:
+        for angle in (90.0, 135.0, 180.0):
+            for nu in ([0.0] if mode is Mode.ANTIPLANE_ODD else nus):
+                case = _case(math.radians(angle), mode)
+                material = _material(mode, nu)
+                for p in find_roots(case, None if mode is Mode.ANTIPLANE_ODD
+                                    else nu):
+                    sol = eigenfield(case, material, p)
+                    if sol.nullity >= 2:
+                        yield case, material, p, sol
+
+
+def test_nullity_two_basis_is_reduced_echelon_of_the_null_span():
+    # at 180 degrees and nu = 0.3744 the crack null space holds the first
+    # member only at ~1e-4: small, but a pivot all the same
+    nus = [0.3744199030137237] + list(np.linspace(-0.95, 0.49, 9))
+    seen = 0
+    for case, material, p, sol in _nullity_two_roots(nus):
+        rows = np.array(sol.amplitudes)
+        _assert_echelon(rows)
+        if p != 2.0:
+            vectors = null_space(bc_matrix(case, p, material.nu))
+            assert oracles.largest_principal_angle(
+                rows.T, np.column_stack(vectors)) <= 1e-12
+        seen += 1
+    assert seen >= 10
+
+
+def test_nullity_two_basis_is_stable_under_one_ulp_in_p():
+    # the null vectors are rotated by roundoff within their span; the
+    # echelon basis depends on the span only (p = 2 on plane modes is
+    # exempt: there the span is fixed only up to the zero-field
+    # direction)
+    worst, seen = 0.0, 0
+    for case, material, p, sol in _nullity_two_roots([0.0, 0.25, 0.3,
+                                                     0.49]):
+        if p == 2.0:
+            continue
+        for moved in (np.nextafter(p, np.inf), np.nextafter(p, -np.inf)):
+            other = eigenfield(case, material, float(moved))
+            assert other.nullity == sol.nullity
+            worst = max(worst, float(np.max(np.abs(
+                np.array(other.amplitudes) - np.array(sol.amplitudes)))))
+            seen += 1
+    assert seen >= 40
+    assert worst <= 1e-9
+
+
+def test_echelon_basis_depends_on_the_span_only():
+    rng = np.random.default_rng(7)
+    for shape in ((4, 2), (4, 3), (2, 2)):
+        span = rng.standard_normal(shape)
+        mixed = span @ rng.standard_normal((shape[1], shape[1]))
+        rows = basis._echelon(span)
+        _assert_echelon(rows)
+        assert np.max(np.abs(rows - basis._echelon(mixed))) <= 1e-13
+    # a column with no part outside the earlier pivots is passed over
+    span = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert _pivots(basis._echelon(span)) == [0, 2]
+    # a small part is still a pivot
+    span[0, 1] = 1e-6
+    assert _pivots(basis._echelon(span)) == [0, 1]
 
 
 # ----------------------------------------------------------------------

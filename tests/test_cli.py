@@ -14,7 +14,7 @@ import pytest
 from gradnotch import cli
 from gradnotch.basis import attach_p1, eigenfield
 from gradnotch.cli import main
-from gradnotch.eigensolver import admissible_eigenvalues
+from gradnotch.eigensolver import admissible_eigenvalues, smallest_exponents
 from gradnotch.fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
                               field_series_map)
 from gradnotch.model import MaterialParams, Mode, WedgeCase
@@ -420,6 +420,66 @@ def test_equilibrium_usage_errors(capsys):
                             "--angle-deg", "180", "--nu", "0.3",
                             "--amps", "1,0", "--r0", "0"])
     assert rc == 1
+
+
+# ----------------------------------------------------------------------
+# Poisson ratio range, shared by every subcommand
+# ----------------------------------------------------------------------
+
+_NU_ARGV = {
+    "eig": ["eig", "--mode", "ps-sym", "--angle-deg", "150"],
+    "sweep": ["sweep", "--mode", "ps-anti", "--from", "150", "--to", "151"],
+    "field": ["field", "--mode", "ps-anti", "--angle-deg", "150",
+              "--eig-index", "1", "--amps", "1", "--r", "0.5,1",
+              "--theta-steps", "5"],
+    "equilibrium": ["equilibrium", "--mode", "I", "--angle-deg", "180",
+                    "--amps", "1,0.5"],
+}
+
+
+@pytest.mark.parametrize("nu", ["-0.5", "-0.9"])
+def test_negative_poisson_ratio_is_accepted(capsys, nu):
+    rc, out, _ = run(capsys, _NU_ARGV["eig"] + ["--nu", nu])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["case"]["nu"] == float(nu)
+    assert all(root["nullity"] >= 1 for root in doc["roots"])
+    rc, out, _ = run(capsys, _NU_ARGV["sweep"] + ["--nu", nu])
+    assert rc == 0 and len(out.strip().split("\n")) == 4
+    rc, out, _ = run(capsys, _NU_ARGV["field"] + ["--nu", nu])
+    assert rc == 0
+    header, body = rows(out)
+    assert header == PLANE_HEADER and len(body) == 10
+    assert all(math.isfinite(float(x)) for row in body for x in row)
+    rc, out, _ = run(capsys, _NU_ARGV["equilibrium"] + ["--nu", nu])
+    assert rc == 0 and "result: PASS" in out
+
+
+@pytest.mark.parametrize("nu", [-0.5, -0.9])
+@pytest.mark.parametrize("mode", ["notch-sym", "notch-anti"])
+def test_notch_equilibrium_passes_at_negative_poisson_ratio(capsys, nu,
+                                                            mode):
+    plane = Mode.PLANE_SYM if mode == "notch-sym" else Mode.PLANE_ANTI
+    for angle in ("100", "135", "157.5", "179"):
+        case = WedgeCase(half_angle_a=math.radians(float(angle)), mode=plane)
+        p = smallest_exponents(case, nu).p
+        nullity = eigenfield(case, MaterialParams(nu=nu), p).nullity
+        amps = ",".join(["1", "-0.6", "0.3"][:nullity])
+        rc, out, _ = run(capsys, ["equilibrium", "--mode", mode,
+                                  "--angle-deg", angle, "--nu", str(nu),
+                                  "--amps", amps])
+        assert rc == 0, (angle, out)
+        assert "result: PASS" in out
+
+
+@pytest.mark.parametrize("command", sorted(_NU_ARGV))
+@pytest.mark.parametrize("nu", ["-1", "0.5", "nan"])
+def test_poisson_ratio_outside_the_library_range_is_refused(capsys,
+                                                            command, nu):
+    rc, out, err = run(capsys, _NU_ARGV[command] + ["--nu", nu])
+    assert rc == 1
+    assert out == ""
+    assert "(-1, 0.5)" in err
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,10 @@ import math
 
 import pytest
 
-from gradnotch.basis import eigenfield
+from gradnotch.basis import basis_fields, eigenfield
 from gradnotch.model import (DisplacementField, MaterialParams, Mode,
                              OutOfRange, PolarSeries, WedgeCase,
-                             validate_case)
+                             combine_fields, validate_case)
 
 
 def test_lame_constant_from_shear_and_poisson():
@@ -87,3 +87,21 @@ def test_combined_field_rejects_wrong_coefficient_count():
     sol = eigenfield(case, MaterialParams(nu=0.3), 1.5)
     with pytest.raises(ValueError):
         sol.combined_field([1.0, 2.0], include_p1=False)
+
+
+def test_combine_fields_equals_scaling_and_adding_one_by_one():
+    # one canonical pass over all scaled terms gives the same series as
+    # scaling each member and adding the results in turn
+    for mode, p in [(Mode.PLANE_SYM, 1.5), (Mode.PLANE_SYM, 2.0),
+                    (Mode.PLANE_ANTI, 2.7), (Mode.ANTIPLANE_ODD, 1.5)]:
+        members, _ = basis_fields(WedgeCase(2.5, mode), p, 0.3)
+        coeffs = [0.3, -1.7, 0.25, 1.1][:len(members)]
+        combined = combine_fields(coeffs, members)
+        assert combined.mode is mode
+        for i, comp in enumerate(combined.components()):
+            want = PolarSeries.zero()
+            for k, member in zip(coeffs, members):
+                want = want + member.components()[i].scaled(k)
+            assert comp.terms == want.terms
+    with pytest.raises(ValueError):
+        combine_fields([], ())
