@@ -19,9 +19,10 @@ Degeneracies handled here:
 * at p = 2 the anti-plane second member vanishes identically (its angular
   frequency is zero), so it is dropped and the system loses a column;
 * at p = 2 the plane third member coincides with a combination of the
-  first and fourth, so the system is singular for every wedge angle and
-  the null space picks up a direction with identically zero field, which
-  eigenfield drops by an exact test on the members' series coefficients;
+  first and fourth (its frequency p - 3 meets their -(p - 1)), and at
+  p = 1 with plus or minus the second (p - 3 meets -(p + 1)), so it is
+  dropped where canonical form would merge those frequencies; the null
+  space then holds no direction with identically zero field;
 * the third-member coupling ratio has a pole at p = 7 - 8 nu, where the
   member is rescaled by the pole factor to stay finite;
 * a sin(0 theta) face term is identically zero, so it adds nothing to
@@ -91,9 +92,12 @@ def basis_fields(case: WedgeCase, p: float, nu: float | None = None, *,
                  keep_zero: bool = False) -> tuple[tuple, tuple]:
     """Standard degree-p basis members for the given symmetry class.
 
-    Returns (fields, kept_indices). Members that degenerate to the zero
-    field are dropped (kept_indices records the survivors) unless
-    keep_zero is set. Plane modes require nu.
+    Returns (fields, kept_indices). Degenerate members are dropped
+    (kept_indices records the survivors) unless keep_zero is set: a member
+    that is the zero field, and the plane third member where it coincides
+    with a combination of the others (its frequency p - 3 within KEY_TOL
+    of -(p - 1) or -(p + 1), the keys canonical form merges). Plane modes
+    require nu.
     """
     mode = case.mode
     members: list[DisplacementField] = []
@@ -132,9 +136,11 @@ def basis_fields(case: WedgeCase, p: float, nu: float | None = None, *,
             members.append(DisplacementField.plane(
                 mode, PolarSeries.zero(), _single(1.0, p, p - 1.0, "cos")))
 
+    coincides = mode.is_plane and min(abs(2.0 * p - 4.0),
+                                      abs(2.0 * p - 2.0)) <= KEY_TOL
     fields, kept = [], []
     for j, member in enumerate(members):
-        if member.is_zero and not keep_zero:
+        if not keep_zero and (member.is_zero or (j == 2 and coincides)):
             continue
         fields.append(member)
         kept.append(j)
@@ -191,9 +197,6 @@ class BCSystem:
     columns the kept basis members; col_scales are each column's natural
     coefficient magnitudes, used to normalize before rank decisions."""
 
-    case: WedgeCase
-    p: float
-    nu: float
     fields: tuple
     kept: tuple
     matrix: np.ndarray
@@ -206,8 +209,8 @@ def bc_matrix(case: WedgeCase, p: float, nu: float, *,
     fields, kept = basis_fields(case, p, nu, keep_zero=keep_zero)
     matrix, scales = _face_stack(case, np.array([float(p)]), nu)
     cols = list(kept)
-    return BCSystem(case=case, p=p, nu=nu, fields=fields, kept=kept,
-                    matrix=matrix[0][:, cols], col_scales=scales[0][cols])
+    return BCSystem(fields=fields, kept=kept, matrix=matrix[0][:, cols],
+                    col_scales=scales[0][cols])
 
 
 def bc_det(case: WedgeCase, p, nu: float):
@@ -225,14 +228,14 @@ def _normalized(system: BCSystem) -> np.ndarray:
     return system.matrix / scales[np.newaxis, :]
 
 
-def null_space(system: BCSystem, tol: float = NULL_TOL) -> list:
+def null_space(system: BCSystem) -> list:
     """Null vectors of the face-condition system, in kept-member
     amplitudes (unit norm, largest component positive).
 
     Columns are normalized by their coefficient scales first, so "small"
     is measured against the natural size of each member's face operators;
-    a singular value counts as null below tol relative to the larger of
-    the top singular value and the unit column scale.
+    a singular value counts as null below NULL_TOL relative to the larger
+    of the top singular value and the unit column scale.
     """
     norm = _normalized(system)
     n_cols = norm.shape[1]
@@ -240,7 +243,7 @@ def null_space(system: BCSystem, tol: float = NULL_TOL) -> list:
         return []
     _, sigma, vh = np.linalg.svd(norm)
     sigma = np.concatenate([sigma, np.zeros(n_cols - len(sigma))])
-    cutoff = tol * max(float(sigma[0]) if len(sigma) else 0.0, 1.0)
+    cutoff = NULL_TOL * max(float(sigma[0]) if len(sigma) else 0.0, 1.0)
     vectors = []
     scales = np.maximum(system.col_scales, 1e-300)
     for i in range(n_cols):
@@ -265,28 +268,6 @@ def singular_ratio(case: WedgeCase, p: float, nu: float) -> float:
     if len(sigma) == 0:
         return 0.0
     return float(sigma[-1]) / max(float(sigma[0]), 1.0)
-
-
-def _coefficient_matrix(fields) -> np.ndarray:
-    """Displacement-series coefficients of the given members: one column
-    per member, one row per (component, kind, frequency, r exponent) key,
-    keys within KEY_TOL merged as canonical form merges them. A
-    combination of the members is the zero field exactly when its
-    amplitude vector is a null vector of this matrix."""
-    entries = sorted(
-        (c, t.kind, t.freq, t.r_exp, j, t.coef)
-        for j, member in enumerate(fields)
-        for c, comp in enumerate(member.components())
-        for t in comp.terms)
-    keys, rows = [], []
-    for c, kind, freq, r_exp, j, coef in entries:
-        if not (keys and keys[-1][:2] == (c, kind)
-                and abs(freq - keys[-1][2]) <= KEY_TOL
-                and abs(r_exp - keys[-1][3]) <= KEY_TOL):
-            keys.append((c, kind, freq, r_exp))
-            rows.append(np.zeros(len(fields)))
-        rows[-1][j] += coef
-    return np.array(rows).reshape(len(rows), len(fields))
 
 
 # a column joins the pivots when its part outside the earlier pivot
@@ -323,16 +304,13 @@ def eigenfield(case: WedgeCase, material: MaterialParams,
     """Eigenfields of the wedge at exponent p.
 
     For p = 1 returns the constant-strain family (valid at every wedge
-    angle). Otherwise solves the face conditions and drops null-space
-    directions whose displacement field is identically zero (the basis
-    collapse at p = 2 on plane modes): a direction is dropped when the
-    members' displacement-series coefficients take it below 1e-6 of
-    their largest singular value, an exact test on the series with
-    nothing sampled. One surviving direction is reported with unit norm
-    and its largest component positive; two or more are reported as the
-    reduced echelon basis of their span (see _echelon), which does not
-    depend on the rotation roundoff gives the null vectors. Raises
-    EmptyNullSpace if no genuine eigenfield exists at p.
+    angle). Otherwise solves the face conditions over the kept basis
+    members (basis_fields drops the degenerate ones, so no null direction
+    has an identically zero field). One null vector is reported with unit
+    norm and its largest component positive; two or more are reported as
+    the reduced echelon basis of their span (see _echelon), which does
+    not depend on the rotation roundoff gives the null vectors. Raises
+    EmptyNullSpace if no eigenfield exists at p.
     """
     validate_case(material, case)
     if abs(p - 1.0) <= 1e-12:
@@ -343,25 +321,11 @@ def eigenfield(case: WedgeCase, material: MaterialParams,
         raise EmptyNullSpace(
             f"no eigenfield at p = {p} for mode {case.mode.value} with "
             f"half-angle {case.half_angle_a}")
-
-    v_mat = np.column_stack(vectors)
-    b_mat = _coefficient_matrix(system.fields)
-    sigma_b = np.linalg.svd(b_mat, compute_uv=False)
-    _, sigma_g, wh = np.linalg.svd(b_mat @ v_mat)
-    sigma_g = np.concatenate(
-        [sigma_g, np.zeros(v_mat.shape[1] - len(sigma_g))])
-    cutoff = 1e-6 * float(sigma_b[0])
-    kept = [v_mat @ wh[i, :] for i in range(v_mat.shape[1])
-            if sigma_g[i] > cutoff]
-    if not kept:
-        raise EmptyNullSpace(
-            f"face-condition null space at p = {p} contains only "
-            f"zero-field directions (basis collapse)")
-    if len(kept) == 1:
-        v = kept[0] / np.linalg.norm(kept[0])
-        rows = [-v if v[np.argmax(np.abs(v))] < 0 else v]
+    if len(vectors) == 1:
+        # null_space already put the largest component positive
+        rows = [vectors[0] / np.linalg.norm(vectors[0])]
     else:
-        rows = _echelon(np.column_stack(kept))
+        rows = _echelon(np.column_stack(vectors))
     amps = tuple(tuple(float(x) for x in v) for v in rows)
     fields = tuple(combine_fields(v, system.fields) for v in amps)
     return EigenSolution(case=case, material=material, p=p,

@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 usage error, 2 check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,8 +31,7 @@ import numpy as np
 
 from .basis import (EmptyNullSpace, attach_p1, eigenfield,
                     solution_from_amplitudes)
-from .equilibrium import (EQUILIBRIUM_TOL, QuadratureDisagreement,
-                          check_equilibrium)
+from .equilibrium import QuadratureDisagreement, check_equilibrium
 from .eigensolver import (NoRootFound, RootScanOptions, admissible_eigenvalues,
                           smallest_exponents)
 from .fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
@@ -467,6 +467,9 @@ def _add_material_flags(parser) -> None:
                              "(default 1)")
 
 
+# built once per process: a build costs a large share of a small eig
+# request
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gradnotch",

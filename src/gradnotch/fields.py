@@ -12,11 +12,10 @@ near-tip contribution, two powers of r more singular than the monopolar
 term, and the part that enters the face conditions and sector equilibrium
 for homogeneous eigenfields.
 
-The module also carries literal closed-form transcriptions of the crack-tip
-fields (crack_reference_fields) and of the general-exponent fields
-(reference_general_series). Both are written directly from the closed
-forms, independent of the pipeline, so they serve as oracles for it.
-The face operators of the general-exponent fields live in one table,
+The module also carries a literal closed-form transcription of the
+crack-tip fields (crack_reference_fields), written directly from the
+closed forms, independent of the pipeline, so it serves as an oracle for
+it. The face operators of the general-exponent fields live in one table,
 face_rows, vectorized over p: the face-condition matrix in basis is
 assembled from it, and the pipeline is in turn that matrix's oracle.
 """
@@ -46,10 +45,8 @@ __all__ = [
     "field_series_map",
     "crack_reference_fields",
     "crack_mode_std_amplitudes",
-    "crack_mode_p1_constants",
     "FaceRows",
     "face_rows",
-    "reference_general_series",
 ]
 
 
@@ -390,7 +387,7 @@ def crack_mode_std_amplitudes(mode_label: str, amps, nu: float) -> tuple:
 
     Maps the crack amplitude pairs (A1, A2) / (B1, B2) / (D,) onto the
     standard column amplitudes at p = 3/2 (the degree-p part only; the
-    constant-strain amplitudes map via crack_mode_p1_constants).
+    constant-strain amplitudes are the p = 1 constants themselves).
     """
     if mode_label == "I":
         a1, a2 = (float(x) for x in amps)
@@ -412,23 +409,8 @@ def crack_mode_std_amplitudes(mode_label: str, amps, nu: float) -> tuple:
     raise ValueError(f"unknown crack mode {mode_label!r}")
 
 
-def crack_mode_p1_constants(mode_label: str, amps) -> tuple:
-    """Constant-strain coefficients for each crack mode's p = 1 part."""
-    if mode_label == "I":
-        c1, c3 = (float(x) for x in amps)
-        return (c1, c3)
-    if mode_label == "II":
-        (c2,) = (float(x) for x in amps)
-        return (c2,)
-    if mode_label == "III":
-        (e_amp,) = (float(x) for x in amps)
-        return (e_amp,)
-    raise ValueError(f"unknown crack mode {mode_label!r}")
-
-
 # ----------------------------------------------------------------------
-# general-exponent closed forms (literal transcriptions; second route for
-# the dual-construction checks)
+# face operators of the general-exponent fields (closed form)
 # ----------------------------------------------------------------------
 
 class FaceRows(NamedTuple):
@@ -455,7 +437,7 @@ def face_rows(mode: Mode, p, nu: float | None) -> FaceRows:
     and the anti-plane rows (t_tz, m_ttz), one column per member.
 
     This is the one transcription of the face conditions: the
-    face-condition matrix and reference_general_series both read it.
+    face-condition matrix reads it.
     Plain arithmetic only, so p and nu may also be mpmath numbers (p an
     object array) for a high-precision reference.
     """
@@ -504,115 +486,3 @@ def face_rows(mode: Mode, p, nu: float | None) -> FaceRows:
                     kinds=tuple(row[3] for row in table),
                     r_shift=tuple(row[4] for row in table),
                     coef=coef, freq=np.stack(freq, axis=-1))
-
-
-def _face_series(mode: Mode, p: float, nu: float | None, amps,
-                 material: MaterialParams) -> dict:
-    """Face operators of a degree-p field with standard amplitudes amps."""
-    rows = face_rows(mode, np.array([p]), nu)
-    weights = [material.mu * material.c * float(x) for x in amps]
-    if mode.is_plane:
-        # the standard third member is the pole-scaled one over the pole
-        weights[2] /= p + 8.0 * nu - 7.0
-    return {key: PolarSeries(tuple(
-                (float(rows.coef[0, i, j]) * w, p + rows.r_shift[i],
-                 float(rows.freq[0, j]), rows.kinds[i])
-                for j, w in enumerate(weights)))
-            for i, key in enumerate(rows.keys)}
-
-
-def reference_general_series(mode: Mode, p: float, nu: float, amps,
-                             material: MaterialParams) -> dict:
-    """Closed-form series for a general degree-p field, given standard
-    basis amplitudes (4 for plane modes, 2 for the anti-plane mode).
-
-    Transcribed directly from the general closed forms, independent of the
-    constitutive pipeline. Covers strains, monopolar stresses (without the
-    out-of-plane component), dipolar stresses, and the theta-face total
-    tractions; the face operators come from face_rows.
-    """
-    mu, c = material.mu, material.c
-    if mode is Mode.ANTIPLANE_ODD:
-        d1, d2 = (float(x) for x in amps)
-        fp, fm = p, p - 2.0
-
-        def ser(r_exp, pref, c1, c2, kind):
-            return PolarSeries(((pref * c1 * d1, r_exp, fp, kind),
-                                (pref * c2 * d2, r_exp, fm, kind)))
-
-        out = {
-            "eps_rz": ser(p - 1, 0.5 * p, 1.0, 1.0, "sin"),
-            "eps_tz": ser(p - 1, 0.5, p, p - 2.0, "cos"),
-            "tau_rz": ser(p - 1, mu * p, 1.0, 1.0, "sin"),
-            "tau_tz": ser(p - 1, mu, p, p - 2.0, "cos"),
-            "m_trz": ser(p - 2, mu * c * (p - 1), p, p - 2.0, "cos"),
-            "m_rrz": ser(p - 2, mu * c * p * (p - 1), 1.0, 1.0, "sin"),
-        }
-        out["m_rtz"] = out["m_trz"]
-        out.update(_face_series(mode, p, nu, (d1, d2), material))
-        return out
-
-    if len(tuple(amps)) != 4:
-        raise ValueError("plane modes take 4 standard amplitudes")
-    a = [float(x) for x in amps]
-    sym = mode is Mode.PLANE_SYM
-    f1, f2, f3 = p - 1.0, p + 1.0, p - 3.0
-    pole = p + 8.0 * nu - 7.0
-    w12 = 1.0 - 2.0 * nu
-
-    def build(r_exp, pref, rows):
-        # rows: (amp_index, sym_coef, anti_coef, freq, sym_kind)
-        terms = []
-        for i, cs, ca, freq, kind in rows:
-            if sym:
-                terms.append((pref * cs * a[i], r_exp, freq, kind))
-            else:
-                flip = "sin" if kind == "cos" else "cos"
-                terms.append((pref * ca * a[i], r_exp, freq, flip))
-        return PolarSeries(tuple(terms))
-
-    q2 = (p * p + p - 8.0 * p * nu + 16.0 * nu - 8.0) / pole
-    q3 = (p * p - 3.0 * p - 8.0 * nu + 8.0) / pole
-    k1 = (p + nu - p * nu) / w12
-    k3 = (p * p - 7.0 * p + 8.0 * nu) / pole
-    k1b = (1.0 - nu + p * nu) / w12
-    k3b = (p * p + p + 8.0 * nu - 8.0) / pole
-    h1 = (1.0 - 3.0 * nu - p + p * nu) / w12
-    h3 = (p * p - 11.0 * p + 8.0 * nu + 16.0) / pole
-    h4 = (1.0 - 3.0 * nu + p * nu) / w12
-
-    rows_tau_rr = [(0, k1, k1, f1, "cos"), (1, p, p, f2, "cos"),
-                   (2, k3, k3, f3, "cos"),
-                   (3, nu * f1 / w12, -nu * f1 / w12, f1, "cos")]
-    rows_tau_tt = [(0, k1b, k1b, f1, "cos"), (1, -p, -p, f2, "cos"),
-                   (2, -k3b, -k3b, f3, "cos"),
-                   (3, (1.0 - nu) * f1 / w12, -(1.0 - nu) * f1 / w12,
-                    f1, "cos")]
-    rows_tau_rt = [(0, -f1, f1, f1, "sin"), (1, -2.0 * p, 2.0 * p, f2, "sin"),
-                   (2, -2.0 * q3, 2.0 * q3, f3, "sin"),
-                   (3, f1, f1, f1, "sin")]
-
-    out = {
-        "eps_rr": build(p - 1, 1.0, [(0, p, p, f1, "cos"),
-                                     (1, p, p, f2, "cos"),
-                                     (2, p, p, f3, "cos")]),
-        "eps_tt": build(p - 1, 1.0, [(0, 1.0, 1.0, f1, "cos"),
-                                     (1, -p, -p, f2, "cos"),
-                                     (2, -q2, -q2, f3, "cos"),
-                                     (3, f1, -f1, f1, "cos")]),
-        "eps_rt": build(p - 1, 1.0, [(0, -0.5 * f1, 0.5 * f1, f1, "sin"),
-                                     (1, -p, p, f2, "sin"),
-                                     (2, -q3, q3, f3, "sin"),
-                                     (3, 0.5 * f1, 0.5 * f1, f1, "sin")]),
-        "tau_rr": build(p - 1, 2.0 * mu, rows_tau_rr),
-        "tau_tt": build(p - 1, 2.0 * mu, rows_tau_tt),
-        "tau_rt": build(p - 1, mu, rows_tau_rt),
-        "m_rrr": build(p - 2, 2.0 * c * mu * f1, rows_tau_rr),
-        "m_rrt": build(p - 2, c * mu * f1, rows_tau_rt),
-        "m_trr": build(p - 2, 2.0 * c * mu * f1,
-                       [(0, h1, -h1, f1, "sin"), (1, -p, p, f2, "sin"),
-                        (2, -h3, h3, f3, "sin"), (3, -h4, -h4, f1, "sin")]),
-        "m_rtt": build(p - 2, 2.0 * c * mu * f1, rows_tau_tt),
-    }
-    out.update(_face_series(mode, p, nu, a, material))
-    return out

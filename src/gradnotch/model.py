@@ -11,7 +11,7 @@ shared freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -408,9 +408,11 @@ class EigenSolution:
     the reduced echelon basis of their span (a vector's pivot is its first
     entry above roundoff, pivots move right from vector to vector, each
     pivot entry is positive and the other vectors are zero there), which
-    depends on the span only. At p = 2 on plane
-    modes the amplitudes are defined only up to the zero-field direction
-    of the collapsed basis. fields holds the matching assembled
+    depends on the span only. The vectors run over the kept basis members
+    (basis.basis_fields): where the plane third member coincides with a
+    combination of the others (p within KEY_TOL / 2 of 2 or of 1) it is
+    dropped, so plane vectors there have 3 entries, as anti-plane vectors
+    have 1 at p = 2. fields holds the matching assembled
     displacement fields. For "special_p1" solutions the amplitude vectors
     are coordinates over the free constants of the special field.
 

@@ -23,7 +23,6 @@ from .model import (
     PolarSeries,
     WedgeCase,
 )
-from .charfn import char_full
 from .eigensolver import RootScanOptions, find_roots, smallest_exponents
 from . import basis as _basis
 from . import fields as _fields

@@ -1,8 +1,11 @@
 """Independent oracles used by the test suite.
 
 Everything in this module is written directly from closed-form expressions
-and elementary numerics, without importing the package under test, so that
-test comparisons are made against a genuinely independent code path:
+and elementary numerics, so that test comparisons are made against a
+genuinely independent code path. Only the general-exponent closed forms
+import the package: they build its PolarSeries and read its face-operator
+table (fields.face_rows), since what they check is the constitutive
+pipeline, not those. The oracles are:
 
 - a plain bisection root finder and second transcriptions of the three
   characteristic bracket functions, with their roots at 30 digits
@@ -12,6 +15,8 @@ test comparisons are made against a genuinely independent code path:
 - the u_theta/u_r coupling ratio of the third plane basis member;
 - centered finite-difference derivative helpers;
 - the zero-field filter by sampling displacement fields at 13 angles;
+- the p = 1 constants of the crack modes and literal transcriptions of
+  the general-exponent fields (reference_general_series);
 - adaptive quadrature (scipy.integrate.quad) for arc resultants.
 """
 
@@ -20,6 +25,9 @@ import math
 import mpmath
 import numpy as np
 from scipy.integrate import quad
+
+from gradnotch.fields import face_rows
+from gradnotch.model import Mode, PolarSeries
 
 
 # ----------------------------------------------------------------------
@@ -265,3 +273,132 @@ def largest_principal_angle(x, y):
     assert qx.shape == qy.shape
     sine = np.linalg.norm(qy - qx @ (qx.T @ qy), 2)
     return float(np.arcsin(min(1.0, sine)))
+
+
+# ----------------------------------------------------------------------
+# crack-mode constants and general-exponent closed forms (literal
+# transcriptions; second route for the dual-construction checks)
+# ----------------------------------------------------------------------
+
+def crack_mode_p1_constants(mode_label, amps):
+    """Constant-strain coefficients for each crack mode's p = 1 part."""
+    if mode_label == "I":
+        c1, c3 = (float(x) for x in amps)
+        return (c1, c3)
+    if mode_label == "II":
+        (c2,) = (float(x) for x in amps)
+        return (c2,)
+    if mode_label == "III":
+        (e_amp,) = (float(x) for x in amps)
+        return (e_amp,)
+    raise ValueError(f"unknown crack mode {mode_label!r}")
+
+
+def _face_series(mode, p, nu, amps, material):
+    """Face operators of a degree-p field with standard amplitudes amps."""
+    rows = face_rows(mode, np.array([p]), nu)
+    weights = [material.mu * material.c * float(x) for x in amps]
+    if mode.is_plane:
+        # the standard third member is the pole-scaled one over the pole
+        weights[2] /= p + 8.0 * nu - 7.0
+    return {key: PolarSeries(tuple(
+                (float(rows.coef[0, i, j]) * w, p + rows.r_shift[i],
+                 float(rows.freq[0, j]), rows.kinds[i])
+                for j, w in enumerate(weights)))
+            for i, key in enumerate(rows.keys)}
+
+
+def reference_general_series(mode, p, nu, amps, material):
+    """Closed-form series for a general degree-p field, given standard
+    basis amplitudes (4 for plane modes, 2 for the anti-plane mode).
+
+    Transcribed directly from the general closed forms, independent of the
+    constitutive pipeline. Covers strains, monopolar stresses (without the
+    out-of-plane component), dipolar stresses, and the theta-face total
+    tractions; the face operators come from face_rows.
+    """
+    mu, c = material.mu, material.c
+    if mode is Mode.ANTIPLANE_ODD:
+        d1, d2 = (float(x) for x in amps)
+        fp, fm = p, p - 2.0
+
+        def ser(r_exp, pref, c1, c2, kind):
+            return PolarSeries(((pref * c1 * d1, r_exp, fp, kind),
+                                (pref * c2 * d2, r_exp, fm, kind)))
+
+        out = {
+            "eps_rz": ser(p - 1, 0.5 * p, 1.0, 1.0, "sin"),
+            "eps_tz": ser(p - 1, 0.5, p, p - 2.0, "cos"),
+            "tau_rz": ser(p - 1, mu * p, 1.0, 1.0, "sin"),
+            "tau_tz": ser(p - 1, mu, p, p - 2.0, "cos"),
+            "m_trz": ser(p - 2, mu * c * (p - 1), p, p - 2.0, "cos"),
+            "m_rrz": ser(p - 2, mu * c * p * (p - 1), 1.0, 1.0, "sin"),
+        }
+        out["m_rtz"] = out["m_trz"]
+        out.update(_face_series(mode, p, nu, (d1, d2), material))
+        return out
+
+    if len(tuple(amps)) != 4:
+        raise ValueError("plane modes take 4 standard amplitudes")
+    a = [float(x) for x in amps]
+    sym = mode is Mode.PLANE_SYM
+    f1, f2, f3 = p - 1.0, p + 1.0, p - 3.0
+    pole = p + 8.0 * nu - 7.0
+    w12 = 1.0 - 2.0 * nu
+
+    def build(r_exp, pref, rows):
+        # rows: (amp_index, sym_coef, anti_coef, freq, sym_kind)
+        terms = []
+        for i, cs, ca, freq, kind in rows:
+            if sym:
+                terms.append((pref * cs * a[i], r_exp, freq, kind))
+            else:
+                flip = "sin" if kind == "cos" else "cos"
+                terms.append((pref * ca * a[i], r_exp, freq, flip))
+        return PolarSeries(tuple(terms))
+
+    q2 = (p * p + p - 8.0 * p * nu + 16.0 * nu - 8.0) / pole
+    q3 = (p * p - 3.0 * p - 8.0 * nu + 8.0) / pole
+    k1 = (p + nu - p * nu) / w12
+    k3 = (p * p - 7.0 * p + 8.0 * nu) / pole
+    k1b = (1.0 - nu + p * nu) / w12
+    k3b = (p * p + p + 8.0 * nu - 8.0) / pole
+    h1 = (1.0 - 3.0 * nu - p + p * nu) / w12
+    h3 = (p * p - 11.0 * p + 8.0 * nu + 16.0) / pole
+    h4 = (1.0 - 3.0 * nu + p * nu) / w12
+
+    rows_tau_rr = [(0, k1, k1, f1, "cos"), (1, p, p, f2, "cos"),
+                   (2, k3, k3, f3, "cos"),
+                   (3, nu * f1 / w12, -nu * f1 / w12, f1, "cos")]
+    rows_tau_tt = [(0, k1b, k1b, f1, "cos"), (1, -p, -p, f2, "cos"),
+                   (2, -k3b, -k3b, f3, "cos"),
+                   (3, (1.0 - nu) * f1 / w12, -(1.0 - nu) * f1 / w12,
+                    f1, "cos")]
+    rows_tau_rt = [(0, -f1, f1, f1, "sin"), (1, -2.0 * p, 2.0 * p, f2, "sin"),
+                   (2, -2.0 * q3, 2.0 * q3, f3, "sin"),
+                   (3, f1, f1, f1, "sin")]
+
+    out = {
+        "eps_rr": build(p - 1, 1.0, [(0, p, p, f1, "cos"),
+                                     (1, p, p, f2, "cos"),
+                                     (2, p, p, f3, "cos")]),
+        "eps_tt": build(p - 1, 1.0, [(0, 1.0, 1.0, f1, "cos"),
+                                     (1, -p, -p, f2, "cos"),
+                                     (2, -q2, -q2, f3, "cos"),
+                                     (3, f1, -f1, f1, "cos")]),
+        "eps_rt": build(p - 1, 1.0, [(0, -0.5 * f1, 0.5 * f1, f1, "sin"),
+                                     (1, -p, p, f2, "sin"),
+                                     (2, -q3, q3, f3, "sin"),
+                                     (3, 0.5 * f1, 0.5 * f1, f1, "sin")]),
+        "tau_rr": build(p - 1, 2.0 * mu, rows_tau_rr),
+        "tau_tt": build(p - 1, 2.0 * mu, rows_tau_tt),
+        "tau_rt": build(p - 1, mu, rows_tau_rt),
+        "m_rrr": build(p - 2, 2.0 * c * mu * f1, rows_tau_rr),
+        "m_rrt": build(p - 2, c * mu * f1, rows_tau_rt),
+        "m_trr": build(p - 2, 2.0 * c * mu * f1,
+                       [(0, h1, -h1, f1, "sin"), (1, -p, p, f2, "sin"),
+                        (2, -h3, h3, f3, "sin"), (3, -h4, -h4, f1, "sin")]),
+        "m_rtt": build(p - 2, 2.0 * c * mu * f1, rows_tau_tt),
+    }
+    out.update(_face_series(mode, p, nu, a, material))
+    return out

@@ -280,9 +280,9 @@ def test_nonroot_exponent_has_no_eigenfield():
 
 
 def test_plane_null_direction_at_two_is_filtered_to_real_fields():
-    # At p = 2 one plane member is a combination of two others, so the
-    # matrix is singular at every angle; the zero-field artifact direction
-    # must be filtered out and only genuine fields returned.
+    # At p = 2 one plane member is a combination of two others; it is
+    # dropped from the basis, so no zero-field direction can reach the
+    # null space and only genuine fields are returned.
     sol = eigenfield(_case(math.pi / 2, Mode.PLANE_SYM), MAT, 2.0)
     assert sol.nullity >= 1
     for field in sol.fields:
@@ -366,6 +366,64 @@ def test_exact_zero_field_filter_matches_sampling_oracle():
     assert checked > 500
 
 
+def _assert_spans_sampled_filter(sol, members, vectors, a, tol, label):
+    """sol's fields span what the sampled zero-field filter keeps of the
+    given null vectors over members: equal nullity, and principal angle
+    at most tol on member samples."""
+    want = oracles.sampled_zero_field_filter(members, vectors, a)
+    assert (0 if sol is None else sol.nullity) == len(want), label
+    if want:
+        got = oracles.member_samples(sol.fields, a)
+        assert oracles.largest_principal_angle(
+            got, oracles.member_samples(members, a)
+            @ np.column_stack(want)) <= tol, label
+
+
+@pytest.mark.parametrize("mode", _PLANE_MODES)
+@pytest.mark.parametrize("nu", [-0.9, 0.0, 0.3, 0.4999])
+def test_coinciding_third_member_is_dropped_within_key_tol(mode, nu):
+    # the third plane member is dropped where its frequency p - 3 merges
+    # with -(p - 1) (p = 2) or -(p + 1) (p = 1) under KEY_TOL = 1e-9
+    material = MaterialParams(nu=nu)
+    near_two = [2.0, 2.0 + 2e-10, 2.0 - 2e-10, 2.0 + 4.9e-10, 2.0 - 4.9e-10]
+    near_one = [1.0 + 2e-11, 1.0 + 4.9e-10]
+    for angle in (90.0, 112.5, 135.0, 157.5, 180.0):
+        case = _case(math.radians(angle), mode)
+        a = case.half_angle_a
+        for p in near_two + near_one:
+            label = f"{mode.value} {angle} nu={nu!r} p={p!r}"
+            system = bc_matrix(case, p, nu)
+            assert 2 not in system.kept, label
+            try:
+                sol = eigenfield(case, material, p)
+            except EmptyNullSpace:
+                sol = None
+            # no null direction of the kept members is a zero field
+            _assert_spans_sampled_filter(sol, system.fields,
+                                         null_space(system), a, 1e-12, label)
+            if p in near_two:
+                # and they span what the filter keeps of all four members'
+                # null space; off p = 2 the dropped member differs from
+                # its combination by O(p - 2), up to 330 |p - 2| in angle
+                # at nu = 0.4999
+                full = bc_matrix(case, p, nu, keep_zero=True)
+                _assert_spans_sampled_filter(
+                    sol, full.fields, null_space(full), a,
+                    1e-12 + 1e3 * abs(p - 2.0), label)
+        for p in (2.0 + 6e-10, 2.0 - 6e-10):
+            # outside KEY_TOL the member stays and every null direction
+            # is reported, as the coefficient-level filter reported it
+            label = f"{mode.value} {angle} nu={nu!r} p={p!r}"
+            system = bc_matrix(case, p, nu)
+            assert system.kept == (0, 1, 2, 3), label
+            vectors = null_space(system)
+            sol = eigenfield(case, material, p)
+            assert sol.nullity == len(vectors), label
+            assert oracles.largest_principal_angle(
+                np.array(sol.amplitudes).T,
+                np.column_stack(vectors)) <= 1e-12, label
+
+
 def test_eigenfield_evaluates_no_series(monkeypatch):
     calls = []
     evaluate = model.PolarSeries.eval
@@ -442,24 +500,19 @@ def test_nullity_two_basis_is_reduced_echelon_of_the_null_span():
     for case, material, p, sol in _nullity_two_roots(nus):
         rows = np.array(sol.amplitudes)
         _assert_echelon(rows)
-        if p != 2.0:
-            vectors = null_space(bc_matrix(case, p, material.nu))
-            assert oracles.largest_principal_angle(
-                rows.T, np.column_stack(vectors)) <= 1e-12
+        vectors = null_space(bc_matrix(case, p, material.nu))
+        assert oracles.largest_principal_angle(
+            rows.T, np.column_stack(vectors)) <= 1e-12
         seen += 1
     assert seen >= 10
 
 
 def test_nullity_two_basis_is_stable_under_one_ulp_in_p():
     # the null vectors are rotated by roundoff within their span; the
-    # echelon basis depends on the span only (p = 2 on plane modes is
-    # exempt: there the span is fixed only up to the zero-field
-    # direction)
+    # echelon basis depends on the span only
     worst, seen = 0.0, 0
     for case, material, p, sol in _nullity_two_roots([0.0, 0.25, 0.3,
                                                      0.49]):
-        if p == 2.0:
-            continue
         for moved in (np.nextafter(p, np.inf), np.nextafter(p, -np.inf)):
             other = eigenfield(case, material, float(moved))
             assert other.nullity == sol.nullity

@@ -108,6 +108,27 @@ def test_eig_usage_errors(capsys):
     assert "--tol" in err
 
 
+def test_parser_is_built_once_per_process(capsys):
+    eig = ["eig", "--mode", "ps-sym", "--angle-deg", "135", "--nu", "0.3"]
+    bad_flag = eig + ["--bogus"]
+    bad_angle = ["eig", "--mode", "ap", "--angle-deg", "45"]
+    cli._build_parser.cache_clear()
+    first = run(capsys, eig)
+    second = run(capsys, eig)
+    assert cli._build_parser.cache_info().misses == 1
+    assert first[0] == 0 and second == first
+    # usage errors after a successful call: exit 1 and the stderr a fresh
+    # parser gives
+    after = [run(capsys, bad_flag), run(capsys, bad_angle)]
+    cli._build_parser.cache_clear()
+    fresh = [run(capsys, bad_flag)]
+    cli._build_parser.cache_clear()
+    fresh.append(run(capsys, bad_angle))
+    assert after == fresh
+    assert [rc for rc, _, _ in after] == [1, 1]
+    assert all(err for _, _, err in after)
+
+
 def test_unbounded_work_is_refused_before_any_allocation(capsys,
                                                         monkeypatch):
     def no_work(*args, **kwargs):
