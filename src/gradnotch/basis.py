@@ -8,11 +8,17 @@ enforce them on theta = +a, giving a square linear system in the basis
 amplitudes. Eigenvalues p are where that system is singular; eigenfields
 are its null vectors.
 
+The basis members are written down once, as a term table of
+(coef, r_exp, freq, kind) per member and displacement component
+(_member_terms); basis_fields and eigenfield build their series from it.
 The system is assembled from the closed-form face operators of
 fields.face_rows, as one stack of matrices over an array of exponents
-(one numpy determinant serves a whole grid of p). The constitutive
-series pipeline (apply_bc_operators) builds the same matrix by an
-independent route; it serves bc_residual and the tests as an oracle.
+(one numpy determinant serves a whole grid of p). eigenfield takes a
+scalar p or a 1-D array of p, like bc_det: an array is solved in one
+pass (one face stack, one stacked SVD per pattern of kept columns). The
+constitutive series pipeline (apply_bc_operators) builds the same matrix
+by an independent route; it serves bc_residual and the tests as an
+oracle.
 
 Degeneracies handled here:
 
@@ -31,7 +37,8 @@ Degeneracies handled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +50,6 @@ from .model import (
     Mode,
     PolarSeries,
     WedgeCase,
-    combine_fields,
     validate_case,
 )
 from .fields import dipolar_series, face_rows, total_theta_series
@@ -88,6 +94,72 @@ def _single(coef, r_exp, freq, kind):
     return PolarSeries(((coef, r_exp, freq, kind),))
 
 
+def _member_terms(mode: Mode, p: float, nu: float | None) -> tuple:
+    """The standard degree-p basis members as one term table.
+
+    One entry per member; an entry holds, per displacement component
+    ((u_r, u_theta) for plane modes, (w,) for anti-plane), the terms
+    (coef, r_exp, freq, kind) of that component. This is the one
+    transcription of the basis: basis_fields and eigenfield build their
+    series from it. Plane modes require nu.
+    """
+    if mode is Mode.ANTIPLANE_ODD:
+        return ((((1.0, p, p, "sin"),),),
+                (((1.0, p, p - 2.0, "sin"),),))
+    if nu is None:
+        raise ValueError("plane-mode basis members require nu")
+    pole = p - 7.0 + 8.0 * nu
+    if abs(pole) < _POLE_TOL:
+        c_r3, c_t3 = pole, p + 5.0 - 8.0 * nu
+    else:
+        c_r3, c_t3 = 1.0, third_member_ratio(p, nu)
+    # the anti-symmetric class swaps the trig kinds and the u_theta sign
+    if mode is Mode.PLANE_SYM:
+        r_kind, t_kind, sign = "cos", "sin", -1.0
+    else:
+        r_kind, t_kind, sign = "sin", "cos", 1.0
+    return (
+        (((1.0, p, p - 1.0, r_kind),), ()),
+        (((1.0, p, p + 1.0, r_kind),), ((sign, p, p + 1.0, t_kind),)),
+        (((c_r3, p, p - 3.0, r_kind),), ((sign * c_t3, p, p - 3.0, t_kind),)),
+        ((), ((1.0, p, p - 1.0, t_kind),)),
+    )
+
+
+def _survives(term) -> bool:
+    """Whether canonical form keeps a lone term: its coefficient is finite
+    and nonzero, and it is not a sin of zero frequency."""
+    coef, _, freq, kind = term
+    return 0.0 < abs(coef) < math.inf and not (
+        kind == "sin" and abs(freq) <= KEY_TOL)
+
+
+def _kept_members(mode: Mode, p: float, table) -> tuple:
+    """Indices of the members of a term table that basis_fields keeps,
+    in closed form (no series is built): a member whose every term
+    canonical form drops is the zero field, and the plane third member
+    coincides with a combination of the others where its frequency p - 3
+    lies within KEY_TOL of -(p - 1) or -(p + 1)."""
+    coincides = mode.is_plane and min(abs(2.0 * p - 4.0),
+                                      abs(2.0 * p - 2.0)) <= KEY_TOL
+    return tuple(j for j, member in enumerate(table)
+                 if not (j == 2 and coincides)
+                 and any(_survives(t) for comp in member for t in comp))
+
+
+def _combined_field(mode: Mode, members, amps) -> DisplacementField:
+    """The field sum(amps[j] * members[j]) over term-table members, each
+    component built as one series from the scaled terms of every member
+    (the bits combine_fields gives on the members' series)."""
+    series = [PolarSeries(tuple((coef * k, r_exp, freq, kind)
+                                for k, member in zip(amps, members)
+                                for coef, r_exp, freq, kind in member[c]))
+              for c in range(len(members[0]))]
+    if mode.is_plane:
+        return DisplacementField.plane(mode, *series)
+    return DisplacementField.antiplane(*series)
+
+
 def basis_fields(case: WedgeCase, p: float, nu: float | None = None, *,
                  keep_zero: bool = False) -> tuple[tuple, tuple]:
     """Standard degree-p basis members for the given symmetry class.
@@ -100,51 +172,11 @@ def basis_fields(case: WedgeCase, p: float, nu: float | None = None, *,
     require nu.
     """
     mode = case.mode
-    members: list[DisplacementField] = []
-    if mode is Mode.ANTIPLANE_ODD:
-        members.append(DisplacementField.antiplane(_single(1.0, p, p, "sin")))
-        members.append(
-            DisplacementField.antiplane(_single(1.0, p, p - 2.0, "sin")))
-    else:
-        if nu is None:
-            raise ValueError("plane-mode basis members require nu")
-        pole = p - 7.0 + 8.0 * nu
-        if abs(pole) < _POLE_TOL:
-            c_r3, c_t3 = pole, p + 5.0 - 8.0 * nu
-        else:
-            c_r3, c_t3 = 1.0, third_member_ratio(p, nu)
-        if mode is Mode.PLANE_SYM:
-            members.append(DisplacementField.plane(
-                mode, _single(1.0, p, p - 1.0, "cos"), PolarSeries.zero()))
-            members.append(DisplacementField.plane(
-                mode, _single(1.0, p, p + 1.0, "cos"),
-                _single(-1.0, p, p + 1.0, "sin")))
-            members.append(DisplacementField.plane(
-                mode, _single(c_r3, p, p - 3.0, "cos"),
-                _single(-c_t3, p, p - 3.0, "sin")))
-            members.append(DisplacementField.plane(
-                mode, PolarSeries.zero(), _single(1.0, p, p - 1.0, "sin")))
-        else:
-            members.append(DisplacementField.plane(
-                mode, _single(1.0, p, p - 1.0, "sin"), PolarSeries.zero()))
-            members.append(DisplacementField.plane(
-                mode, _single(1.0, p, p + 1.0, "sin"),
-                _single(1.0, p, p + 1.0, "cos")))
-            members.append(DisplacementField.plane(
-                mode, _single(c_r3, p, p - 3.0, "sin"),
-                _single(c_t3, p, p - 3.0, "cos")))
-            members.append(DisplacementField.plane(
-                mode, PolarSeries.zero(), _single(1.0, p, p - 1.0, "cos")))
-
-    coincides = mode.is_plane and min(abs(2.0 * p - 4.0),
-                                      abs(2.0 * p - 2.0)) <= KEY_TOL
-    fields, kept = [], []
-    for j, member in enumerate(members):
-        if not keep_zero and (member.is_zero or (j == 2 and coincides)):
-            continue
-        fields.append(member)
-        kept.append(j)
-    return tuple(fields), tuple(kept)
+    table = _member_terms(mode, p, nu)
+    kept = (tuple(range(len(table))) if keep_zero
+            else _kept_members(mode, p, table))
+    return tuple(_combined_field(mode, (table[j],), (1.0,))
+                 for j in kept), kept
 
 
 def apply_bc_operators(field: DisplacementField, nu: float) -> tuple:
@@ -223,37 +255,38 @@ def bc_det(case: WedgeCase, p, nu: float):
     return float(det[0]) if p_arr.ndim == 0 else det
 
 
-def _normalized(system: BCSystem) -> np.ndarray:
-    scales = np.maximum(system.col_scales, 1e-300)
-    return system.matrix / scales[np.newaxis, :]
+def _null_vectors(matrices: np.ndarray, col_scales: np.ndarray) -> list:
+    """Null vectors of each system of a stack, from one stacked SVD.
 
-
-def null_space(system: BCSystem) -> list:
-    """Null vectors of the face-condition system, in kept-member
-    amplitudes (unit norm, largest component positive).
-
-    Columns are normalized by their coefficient scales first, so "small"
-    is measured against the natural size of each member's face operators;
-    a singular value counts as null below NULL_TOL relative to the larger
-    of the top singular value and the unit column scale.
+    matrices (n, rows, cols) and col_scales (n, cols) hold n face-condition
+    systems over the same kept columns (rows >= cols, as every face system
+    has). Returns one list per system of its null vectors in kept-member
+    amplitudes (unit norm, largest component positive). Columns are
+    normalized by their coefficient scales first, so "small" is measured
+    against the natural size of each member's face operators; a singular
+    value counts as null below NULL_TOL relative to the larger of the top
+    singular value and the unit column scale.
     """
-    norm = _normalized(system)
-    n_cols = norm.shape[1]
-    if n_cols == 0:
-        return []
-    _, sigma, vh = np.linalg.svd(norm)
-    sigma = np.concatenate([sigma, np.zeros(n_cols - len(sigma))])
-    cutoff = NULL_TOL * max(float(sigma[0]) if len(sigma) else 0.0, 1.0)
-    vectors = []
-    scales = np.maximum(system.col_scales, 1e-300)
-    for i in range(n_cols):
-        if sigma[i] < cutoff:
-            v = vh[i, :] / scales
+    scales = np.maximum(col_scales, 1e-300)
+    _, sigma, vh = np.linalg.svd(matrices / scales[:, np.newaxis, :])
+    null = sigma < NULL_TOL * np.maximum(sigma[:, :1], 1.0)
+    found = []
+    for is_null, v_h, scale in zip(null, vh, scales):
+        vectors = []
+        for v in v_h[is_null]:
+            v = v / scale
             v = v / np.linalg.norm(v)
             if v[np.argmax(np.abs(v))] < 0:
                 v = -v
             vectors.append(v)
-    return vectors
+        found.append(vectors)
+    return found
+
+
+def null_space(system: BCSystem) -> list:
+    """Null vectors of one face-condition system (see _null_vectors)."""
+    return _null_vectors(system.matrix[np.newaxis],
+                         system.col_scales[np.newaxis])[0]
 
 
 def singular_ratio(case: WedgeCase, p: float, nu: float) -> float:
@@ -263,10 +296,10 @@ def singular_ratio(case: WedgeCase, p: float, nu: float) -> float:
     meaningful for one-column systems. Near an eigenvalue the ratio drops
     toward zero; away from eigenvalues it is order one.
     """
-    norm = _normalized(bc_matrix(case, p, nu))
-    sigma = np.linalg.svd(norm, compute_uv=False)
-    if len(sigma) == 0:
-        return 0.0
+    system = bc_matrix(case, p, nu)
+    sigma = np.linalg.svd(system.matrix
+                          / np.maximum(system.col_scales, 1e-300),
+                          compute_uv=False)
     return float(sigma[-1]) / max(float(sigma[0]), 1.0)
 
 
@@ -299,38 +332,73 @@ def _echelon(vectors: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1)[:, np.newaxis]
 
 
-def eigenfield(case: WedgeCase, material: MaterialParams,
-               p: float) -> EigenSolution:
-    """Eigenfields of the wedge at exponent p.
+def eigenfield(case: WedgeCase, material: MaterialParams, p):
+    """Eigenfields of the wedge at exponent p, a scalar or a 1-D array.
 
     For p = 1 returns the constant-strain family (valid at every wedge
     angle). Otherwise solves the face conditions over the kept basis
-    members (basis_fields drops the degenerate ones, so no null direction
-    has an identically zero field). One null vector is reported with unit
-    norm and its largest component positive; two or more are reported as
-    the reduced echelon basis of their span (see _echelon), which does
-    not depend on the rotation roundoff gives the null vectors. Raises
-    EmptyNullSpace if no eigenfield exists at p.
+    members (the degenerate ones are dropped, so no null direction has an
+    identically zero field). One null vector is reported with unit norm
+    and its largest component positive; two or more are reported as the
+    reduced echelon basis of their span (see _echelon), which does not
+    depend on the rotation roundoff gives the null vectors.
+
+    A scalar p returns an EigenSolution and raises EmptyNullSpace if no
+    eigenfield exists at p. An array of p returns a list with one entry
+    per p, None where the scalar form would raise; it is solved in one
+    pass: one face stack over every exponent and one stacked SVD per
+    pattern of kept columns, each field built straight from the member
+    term table. Every entry has the bits of the scalar form.
     """
     validate_case(material, case)
-    if abs(p - 1.0) <= 1e-12:
-        return special_p1_solution(case, material)
-    system = bc_matrix(case, p, material.nu)
-    vectors = null_space(system)
-    if not vectors:
+    p_arr = np.asarray(p, dtype=float)
+    sols = _eigenfields(case, material, np.atleast_1d(p_arr).tolist())
+    if p_arr.ndim > 0:
+        return sols
+    if sols[0] is None:
         raise EmptyNullSpace(
             f"no eigenfield at p = {p} for mode {case.mode.value} with "
             f"half-angle {case.half_angle_a}")
-    if len(vectors) == 1:
-        # null_space already put the largest component positive
-        rows = [vectors[0] / np.linalg.norm(vectors[0])]
-    else:
-        rows = _echelon(np.column_stack(vectors))
-    amps = tuple(tuple(float(x) for x in v) for v in rows)
-    fields = tuple(combine_fields(v, system.fields) for v in amps)
-    return EigenSolution(case=case, material=material, p=p,
-                         kind="bracket_root", nullity=len(fields),
-                         amplitudes=amps, fields=fields)
+    return sols[0]
+
+
+def _eigenfields(case: WedgeCase, material: MaterialParams, ps) -> list:
+    """eigenfield's batched pass over the exponents ps (Python floats)."""
+    mode, nu = case.mode, material.nu
+    sols = [None] * len(ps)
+    solve = []    # (index, p, kept members' term table entries)
+    patterns = {}  # kept indices -> positions in solve
+    for k, p in enumerate(ps):
+        if abs(p - 1.0) <= 1e-12:
+            sols[k] = special_p1_solution(case, material)
+            continue
+        table = _member_terms(mode, p, nu)
+        kept = _kept_members(mode, p, table)
+        patterns.setdefault(kept, []).append(len(solve))
+        solve.append((k, p, [table[j] for j in kept]))
+    if not solve:
+        return sols
+    matrices, scales = _face_stack(case, np.array([p for _, p, _ in solve]),
+                                   nu)
+    for kept, at in patterns.items():
+        cols = list(kept)
+        found = _null_vectors(matrices[at][:, :, cols], scales[at][:, cols])
+        for i, vectors in zip(at, found):
+            if not vectors:
+                continue
+            k, p, members = solve[i]
+            if len(vectors) == 1:
+                # _null_vectors already put the largest component positive
+                rows = [vectors[0] / np.linalg.norm(vectors[0])]
+            else:
+                rows = _echelon(np.column_stack(vectors))
+            amps = tuple(tuple(float(x) for x in v) for v in rows)
+            sols[k] = EigenSolution(
+                case=case, material=material, p=p, kind="bracket_root",
+                nullity=len(amps), amplitudes=amps,
+                fields=tuple(_combined_field(mode, members, v)
+                             for v in amps))
+    return sols
 
 
 def special_p1_field(mode: Mode, constants) -> DisplacementField:
@@ -386,7 +454,8 @@ def solution_from_amplitudes(case: WedgeCase, material: MaterialParams,
     p1_constants optionally attaches a constant-strain part.
     """
     validate_case(material, case)
-    members, _ = basis_fields(case, p, material.nu)
+    table = _member_terms(case.mode, p, material.nu)
+    members = [table[j] for j in _kept_members(case.mode, p, table)]
     amps, fields = [], []
     for vec in amp_vectors:
         v = tuple(float(x) for x in vec)
@@ -395,7 +464,7 @@ def solution_from_amplitudes(case: WedgeCase, material: MaterialParams,
                 f"amplitude vector length {len(v)} != basis size "
                 f"{len(members)} at p = {p}")
         amps.append(v)
-        fields.append(combine_fields(v, members))
+        fields.append(_combined_field(case.mode, members, v))
     p1_field = None
     p1_vals = None
     if p1_constants is not None:
@@ -409,9 +478,7 @@ def solution_from_amplitudes(case: WedgeCase, material: MaterialParams,
 
 def attach_p1(sol: EigenSolution, constants) -> EigenSolution:
     """Return a copy of sol carrying a constant-strain part."""
-    import dataclasses
-
     field = special_p1_field(sol.case.mode, constants)
-    return dataclasses.replace(
+    return replace(
         sol, p1_coefficients=tuple(float(x) for x in constants),
         p1_field=field)

@@ -125,10 +125,13 @@ def _write_text(path: str, text: str) -> None:
 
 def _parse_floats(text: str, flag: str) -> tuple:
     try:
-        return tuple(float(piece) for piece in text.split(","))
+        values = tuple(float(piece) for piece in text.split(","))
     except ValueError as exc:
         raise UsageError(f"{flag} expects comma-separated numbers, "
                          f"got {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
 def _resolve_mode(label: str) -> Mode:
@@ -154,10 +157,11 @@ def _resolve_nu(args, mode: Mode) -> float | None:
 
 
 def _material(args, nu: float | None) -> MaterialParams:
-    if args.mu <= 0.0:
-        raise UsageError(f"--mu must be positive, got {args.mu:g}")
-    if args.c <= 0.0:
-        raise UsageError(f"--c must be positive, got {args.c:g}")
+    if not 0.0 < args.mu < math.inf:
+        raise UsageError(f"--mu must be positive and finite, "
+                         f"got {args.mu:g}")
+    if not 0.0 < args.c < math.inf:
+        raise UsageError(f"--c must be positive and finite, got {args.c:g}")
     return MaterialParams(nu=0.0 if nu is None else nu, mu=args.mu, c=args.c)
 
 
@@ -191,22 +195,16 @@ def cmd_eig(args) -> int:
     options = _scan_options(args)
     case = WedgeCase(half_angle_a=half_angle, mode=mode)
 
-    roots = []
-    for entry in admissible_eigenvalues(case, nu, options):
-        try:
-            sol = eigenfield(case, material, entry.p)
-            nullity = sol.nullity
-            amplitudes = [list(vec) for vec in sol.amplitudes]
-        except EmptyNullSpace:
-            nullity = 0
-            amplitudes = []
-        roots.append({
-            "p": entry.p,
-            "kind": entry.kind,
-            "admissible": entry.admissible,
-            "nullity": nullity,
-            "amplitudes": amplitudes,
-        })
+    entries = admissible_eigenvalues(case, nu, options)
+    sols = eigenfield(case, material, np.array([e.p for e in entries]))
+    roots = [{
+        "p": entry.p,
+        "kind": entry.kind,
+        "admissible": entry.admissible,
+        "nullity": 0 if sol is None else sol.nullity,
+        "amplitudes": ([] if sol is None
+                       else [list(vec) for vec in sol.amplitudes]),
+    } for entry, sol in zip(entries, sols)]
 
     doc = {
         "case": {
@@ -272,8 +270,8 @@ def cmd_sweep(args) -> int:
 def _field_radii(args) -> tuple:
     """The --r values, checked with --theta-steps before any solve."""
     radii = _parse_floats(args.r, "--r")
-    if not all(math.isfinite(r) and r > 0.0 for r in radii):
-        raise UsageError("--r values must be positive and finite")
+    if not all(r > 0.0 for r in radii):
+        raise UsageError("--r values must be positive")
     if args.theta_steps < 2:
         raise UsageError(f"--theta-steps must be at least 2, "
                          f"got {args.theta_steps}")
@@ -290,6 +288,9 @@ def cmd_field(args) -> int:
     nu = _resolve_nu(args, mode)
     material = _material(args, nu)
     radii = _field_radii(args)
+    amps = _parse_floats(args.amps, "--amps")
+    constants = (None if args.with_p1 is None
+                 else _parse_floats(args.with_p1, "--with-p1"))
     case = WedgeCase(half_angle_a=half_angle, mode=mode)
 
     entries = admissible_eigenvalues(case, nu)
@@ -303,17 +304,15 @@ def cmd_field(args) -> int:
         raise UsageError(f"no eigenfield at p = {entry.p:.12g}: "
                          f"{exc}") from exc
 
-    amps = _parse_floats(args.amps, "--amps")
     if len(amps) != sol.nullity:
         raise UsageError(f"--amps expects {sol.nullity} coefficient(s) "
                          f"(the nullity at p = {entry.p:.12g}), "
                          f"got {len(amps)}")
-    if args.with_p1 is not None:
+    if constants is not None:
         if sol.kind == "special_p1":
             raise UsageError("--with-p1 cannot be combined with the p = 1 "
                              "entry; its amplitudes already are the "
                              "constant-strain coefficients")
-        constants = _parse_floats(args.with_p1, "--with-p1")
         expected = _P1_CONSTANT_COUNT[mode]
         if len(constants) != expected:
             raise UsageError(f"--with-p1 expects {expected} constant(s) "
@@ -339,6 +338,7 @@ def _equilibrium_field(args, mode_flag: str, material: MaterialParams,
                        half_angle: float):
     """Displacement field and exponent for one equilibrium scenario."""
     nu = material.nu
+    amps = _parse_floats(args.amps, "--amps")
     if mode_flag in ("I", "II"):
         if abs(args.angle_deg - 180.0) > 1e-9:
             raise UsageError(f"mode {mode_flag} is the crack case; "
@@ -346,7 +346,6 @@ def _equilibrium_field(args, mode_flag: str, material: MaterialParams,
                              f"got {args.angle_deg:g}")
         mode = Mode.PLANE_SYM if mode_flag == "I" else Mode.PLANE_ANTI
         case = WedgeCase(half_angle_a=half_angle, mode=mode)
-        amps = _parse_floats(args.amps, "--amps")
         if len(amps) != 2:
             names = "A1,A2" if mode_flag == "I" else "B1,B2"
             raise UsageError(f"mode {mode_flag} expects --amps {names} "
@@ -361,7 +360,6 @@ def _equilibrium_field(args, mode_flag: str, material: MaterialParams,
     except NoRootFound as exc:
         raise UsageError(str(exc)) from exc
     sol = eigenfield(case, material, p)
-    amps = _parse_floats(args.amps, "--amps")
     if len(amps) != sol.nullity:
         raise UsageError(f"--amps expects {sol.nullity} coefficient(s) "
                          f"(the nullity at p = {p:.12g}), got {len(amps)}")
@@ -374,8 +372,9 @@ def cmd_equilibrium(args) -> int:
         return 1
     half_angle = _check_angle(args.angle_deg)
     material = _material(args, _resolve_nu(args, Mode.PLANE_SYM))
-    if args.r0 <= 0.0:
-        raise UsageError(f"--r0 must be positive, got {args.r0:g}")
+    if not 0.0 < args.r0 < math.inf:
+        raise UsageError(f"--r0 must be positive and finite, "
+                         f"got {args.r0:g}")
 
     field, p = _equilibrium_field(args, args.mode, material, half_angle)
     try:

@@ -3,9 +3,10 @@
 Everything in this module is written directly from closed-form expressions
 and elementary numerics, so that test comparisons are made against a
 genuinely independent code path. Only the general-exponent closed forms
-import the package: they build its PolarSeries and read its face-operator
-table (fields.face_rows), since what they check is the constitutive
-pipeline, not those. The oracles are:
+and the per-root eigenfield route import the package: the closed forms
+build its PolarSeries and read its face-operator table (fields.face_rows),
+since what they check is the constitutive pipeline, not those. The
+oracles are:
 
 - a plain bisection root finder and second transcriptions of the three
   characteristic bracket functions, with their roots at 30 digits
@@ -15,6 +16,10 @@ pipeline, not those. The oracles are:
 - the u_theta/u_r coupling ratio of the third plane basis member;
 - centered finite-difference derivative helpers;
 - the zero-field filter by sampling displacement fields at 13 angles;
+- the per-root eigenfield route: the basis members written out as
+  series, one SVD per face system, and fields combined from the members'
+  series (it reads the package's one-exponent face stack and reduced
+  echelon form, since what it checks is the batched pass, not those);
 - the p = 1 constants of the crack modes and literal transcriptions of
   the general-exponent fields (reference_general_series);
 - adaptive quadrature (scipy.integrate.quad) for arc resultants.
@@ -26,8 +31,10 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
+from gradnotch import basis
 from gradnotch.fields import face_rows
-from gradnotch.model import Mode, PolarSeries
+from gradnotch.model import (KEY_TOL, DisplacementField, EigenSolution, Mode,
+                             PolarSeries, combine_fields)
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +280,98 @@ def largest_principal_angle(x, y):
     assert qx.shape == qy.shape
     sine = np.linalg.norm(qy - qx @ (qx.T @ qy), 2)
     return float(np.arcsin(min(1.0, sine)))
+
+
+# ----------------------------------------------------------------------
+# per-root eigenfield route (one system, one SVD and one series set per
+# exponent; the batched eigenfield must give its bits)
+# ----------------------------------------------------------------------
+
+def _lone(coef, r_exp, freq, kind):
+    return PolarSeries(((coef, r_exp, freq, kind),))
+
+
+def basis_members(mode, p, nu, keep_zero=False):
+    """The standard degree-p basis members, each written out as series,
+    and the indices of those kept: a member that is the zero field, and
+    the plane third member where its frequency p - 3 lies within KEY_TOL
+    of -(p - 1) or -(p + 1), are dropped unless keep_zero is set."""
+    if mode is Mode.ANTIPLANE_ODD:
+        members = [DisplacementField.antiplane(_lone(1.0, p, p, "sin")),
+                   DisplacementField.antiplane(
+                       _lone(1.0, p, p - 2.0, "sin"))]
+    else:
+        pole = p - 7.0 + 8.0 * nu
+        if abs(pole) < 1e-6:
+            c_r3, c_t3 = pole, p + 5.0 - 8.0 * nu
+        else:
+            c_r3, c_t3 = 1.0, utheta_ratio(p, nu)
+        zero = PolarSeries(())
+        if mode is Mode.PLANE_SYM:
+            comps = [(_lone(1.0, p, p - 1.0, "cos"), zero),
+                     (_lone(1.0, p, p + 1.0, "cos"),
+                      _lone(-1.0, p, p + 1.0, "sin")),
+                     (_lone(c_r3, p, p - 3.0, "cos"),
+                      _lone(-c_t3, p, p - 3.0, "sin")),
+                     (zero, _lone(1.0, p, p - 1.0, "sin"))]
+        else:
+            comps = [(_lone(1.0, p, p - 1.0, "sin"), zero),
+                     (_lone(1.0, p, p + 1.0, "sin"),
+                      _lone(1.0, p, p + 1.0, "cos")),
+                     (_lone(c_r3, p, p - 3.0, "sin"),
+                      _lone(c_t3, p, p - 3.0, "cos")),
+                     (zero, _lone(1.0, p, p - 1.0, "cos"))]
+        members = [DisplacementField.plane(mode, u_r, u_t)
+                   for u_r, u_t in comps]
+    coincides = mode.is_plane and min(abs(2.0 * p - 4.0),
+                                      abs(2.0 * p - 2.0)) <= KEY_TOL
+    kept = tuple(j for j, member in enumerate(members)
+                 if keep_zero or not (member.is_zero
+                                      or (j == 2 and coincides)))
+    return tuple(members[j] for j in kept), kept
+
+
+def null_vectors_one_system(matrix, col_scales):
+    """Null vectors of one face-condition system by its own SVD: columns
+    normalized by their scales, singular values below 1e-6 of
+    max(top singular value, 1) null; unit norm, largest entry positive."""
+    scales = np.maximum(col_scales, 1e-300)
+    _, sigma, vh = np.linalg.svd(matrix / scales[np.newaxis, :])
+    cutoff = 1e-6 * max(float(sigma[0]), 1.0)
+    vectors = []
+    for i in range(matrix.shape[1]):
+        if sigma[i] < cutoff:
+            v = vh[i, :] / scales
+            v = v / np.linalg.norm(v)
+            if v[np.argmax(np.abs(v))] < 0:
+                v = -v
+            vectors.append(v)
+    return vectors
+
+
+def eigenfield_per_root(case, material, p):
+    """Eigenfields at one exponent the per-root way: the kept members'
+    columns of a one-exponent face stack, one SVD, the reduced echelon
+    basis for nullity two or more, and each field combined from the
+    members' series. None where there is no null vector."""
+    if abs(p - 1.0) <= 1e-12:
+        return basis.special_p1_solution(case, material)
+    members, kept = basis_members(case.mode, p, material.nu)
+    matrices, scales = basis._face_stack(case, np.array([p]), material.nu)
+    cols = list(kept)
+    vectors = null_vectors_one_system(matrices[0][:, cols], scales[0][cols])
+    if not vectors:
+        return None
+    if len(vectors) == 1:
+        rows = [vectors[0] / np.linalg.norm(vectors[0])]
+    else:
+        rows = basis._echelon(np.column_stack(vectors))
+    amps = tuple(tuple(float(x) for x in v) for v in rows)
+    return EigenSolution(case=case, material=material, p=p,
+                         kind="bracket_root", nullity=len(amps),
+                         amplitudes=amps,
+                         fields=tuple(combine_fields(v, members)
+                                      for v in amps))
 
 
 # ----------------------------------------------------------------------

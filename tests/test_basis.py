@@ -15,7 +15,7 @@ from gradnotch.basis import (EmptyNullSpace, apply_bc_operators,
                              null_space, singular_ratio,
                              solution_from_amplitudes, special_p1_field,
                              special_p1_solution, third_member_ratio)
-from gradnotch.eigensolver import find_roots
+from gradnotch.eigensolver import RootScanOptions, find_roots
 from gradnotch.fields import face_rows
 from gradnotch.model import MaterialParams, Mode, WedgeCase
 
@@ -461,6 +461,113 @@ def test_nullity_one_amplitudes_are_the_normalized_null_vector():
                 assert sol.amplitudes[0] == tuple(float(x) for x in v)
                 checked += 1
     assert checked >= 20
+
+
+# ----------------------------------------------------------------------
+# the array form of eigenfield, against the per-root route
+# ----------------------------------------------------------------------
+
+def _field_bits(field):
+    """Every term of a field's components, floats as hex."""
+    return tuple(tuple((t.coef.hex(), float(t.r_exp).hex(),
+                        float(t.freq).hex(), t.kind) for t in comp.terms)
+                 for comp in field.components())
+
+
+def _bits(sol):
+    """Everything an eigensolution reports, floats as hex: nullity,
+    amplitudes and every field term (None for no eigenfield)."""
+    if sol is None:
+        return None
+    amps = tuple(tuple(float(x).hex() for x in v) for v in sol.amplitudes)
+    return (sol.kind, float(sol.p).hex(), sol.nullity, amps,
+            tuple(map(_field_bits, sol.fields)))
+
+
+_EDGE_ANGLES = (90.0, 90.0001, 135.0, 179.9999, 180.0)
+_EDGE_NUS = (-0.9, -0.5, 0.0, 0.3, 0.4999)
+
+
+def test_array_eigenfield_matches_per_root_route_bit_for_bit():
+    # every root up to p = 12, plus p = 2 (plane: third member dropped;
+    # anti-plane: second member zero), the plane pole 7 - 8 nu and the
+    # midpoint of the first two roots, so each stack mixes kept patterns,
+    # rescaled third members and empty null spaces
+    options = RootScanOptions(p_max=12.0)
+    cases = mixed = empty = compared = 0
+    for mode in Mode:
+        nus = [0.0] if mode is Mode.ANTIPLANE_ODD else _EDGE_NUS
+        for angle in _EDGE_ANGLES:
+            for nu in nus:
+                case = _case(math.radians(angle), mode)
+                material = MaterialParams(nu=nu)
+                roots = find_roots(case, None if mode is Mode.ANTIPLANE_ODD
+                                   else nu, options)
+                ps = [1.0] + roots + [2.0, 0.5 * (roots[0] + roots[1])]
+                if mode.is_plane:
+                    ps.append(7.0 - 8.0 * nu)
+                sols = eigenfield(case, material, np.array(ps))
+                cases += 1
+                assert len(sols) == len(ps)
+                patterns = {basis._kept_members(
+                    mode, p, basis._member_terms(mode, p, nu)) for p in ps}
+                mixed += len(patterns) > 1
+                for p, sol in zip(ps, sols):
+                    label = f"{mode.value} {angle} nu={nu!r} p={p!r}"
+                    want = oracles.eigenfield_per_root(case, material, p)
+                    assert _bits(sol) == _bits(want), label
+                    empty += sol is None
+                    compared += 1
+    assert compared > 1000 and empty >= 60 and mixed == cases == 55
+
+
+def test_scalar_eigenfield_is_the_array_entry():
+    for mode in Mode:
+        for angle in _EDGE_ANGLES:
+            case = _case(math.radians(angle), mode)
+            nu = None if mode is Mode.ANTIPLANE_ODD else 0.3
+            ps = [1.0] + find_roots(case, nu) + [2.0, 1.2345]
+            sols = eigenfield(case, MAT, np.array(ps))
+            for p, sol in zip(ps, sols):
+                if sol is None:
+                    with pytest.raises(EmptyNullSpace):
+                        eigenfield(case, MAT, p)
+                else:
+                    assert _bits(eigenfield(case, MAT, p)) == _bits(sol)
+    assert eigenfield(_case(math.pi, Mode.PLANE_SYM), MAT,
+                      np.array([])) == []
+
+
+def _predicate_exponents(mode, nu):
+    ps = [1.0 + 2e-11, 1.0 + 4.9e-10, 3.0]
+    if mode is Mode.ANTIPLANE_ODD:
+        return ps + [2.0, 0.0]
+    pole = 7.0 - 8.0 * nu
+    return ps + [2.0 + d for d in (0.0, 4.9e-10, -4.9e-10, 6e-10, -6e-10)] \
+        + [pole, pole + 3e-7, pole - 3e-7]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_term_table_and_kept_predicate_reproduce_the_literal_members(mode):
+    # the kept predicate reads the term table only; both must give the
+    # members and kept indices of the basis written out as series
+    seen = set()
+    for nu in _EDGE_NUS:
+        for p in _predicate_exponents(mode, nu):
+            label = f"{mode.value} nu={nu!r} p={p!r}"
+            for keep_zero in (True, False):
+                members, kept = oracles.basis_members(mode, p, nu, keep_zero)
+                got, got_kept = basis_fields(_case(math.pi, mode), p, nu,
+                                             keep_zero=keep_zero)
+                assert got_kept == kept, label
+                assert list(map(_field_bits, got)) == \
+                    list(map(_field_bits, members)), label
+            seen.add(kept)
+    # next to p = 1 the plane member with frequency p - 1 in its sin
+    # component is the zero field too
+    assert seen == {Mode.PLANE_SYM: {(0, 1, 2, 3), (0, 1, 3), (0, 1)},
+                    Mode.PLANE_ANTI: {(0, 1, 2, 3), (0, 1, 3), (1, 3)},
+                    Mode.ANTIPLANE_ODD: {(0, 1), (0,), (1,)}}[mode]
 
 
 def _pivots(rows):

@@ -11,13 +11,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradnotch import cli
+from gradnotch import basis, cli
 from gradnotch.basis import attach_p1, eigenfield
 from gradnotch.cli import main
 from gradnotch.eigensolver import admissible_eigenvalues, smallest_exponents
 from gradnotch.fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
                               field_series_map)
-from gradnotch.model import MaterialParams, Mode, WedgeCase
+from gradnotch.model import MaterialParams, Mode, PolarSeries, WedgeCase
 from gradnotch.verify import CheckResult, SuiteReport
 
 PLANE_HEADER = ("r,theta,u_r,u_t,eps_rr,eps_tt,eps_rt,tau_rr,tau_tt,tau_rt,"
@@ -36,6 +36,10 @@ def run(capsys, argv):
 def rows(csv_text):
     lines = csv_text.strip("\n").split("\n")
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the solver was called")
 
 
 # ----------------------------------------------------------------------
@@ -107,6 +111,52 @@ def test_eig_usage_errors(capsys):
     assert rc == 1
     assert "--tol" in err
 
+    # non-finite material constants: no traceback, no bare inf in the JSON
+    for flag, value in (("--mu", "nan"), ("--mu", "inf"), ("--c", "inf"),
+                        ("--c", "nan")):
+        rc, out, err = run(capsys, ["eig", "--mode", "ap",
+                                    "--angle-deg", "120", flag, value])
+        assert rc == 1 and out == ""
+        assert flag in err and "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "ps-sym", "--angle-deg", "135", "--nu", "0.3"],
+    ["--mode", "ps-anti", "--angle-deg", "180", "--nu", "-0.5",
+     "--p-max", "12"],
+    ["--mode", "ps-sym", "--angle-deg", "90", "--nu", "0.4999"],
+    ["--mode", "ap", "--angle-deg", "179.9999", "--p-max", "12"],
+])
+def test_eig_request_is_one_batched_pass(capsys, monkeypatch, argv):
+    # one eigenfield call over every root, one face stack, and at most
+    # two series per reported null vector beyond the p = 1 entry's
+    calls = {"eigenfield": 0, "face_stack": 0, "series": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "eigenfield",
+                        counted("eigenfield", cli.eigenfield))
+    monkeypatch.setattr(basis, "_face_stack",
+                        counted("face_stack", basis._face_stack))
+    monkeypatch.setattr(PolarSeries, "__post_init__",
+                        counted("series", PolarSeries.__post_init__))
+    mode = cli._MODE_BY_LABEL[argv[1]]
+    basis.special_p1_solution(WedgeCase(half_angle_a=math.pi, mode=mode),
+                              MaterialParams(nu=0.3))
+    p1_series = calls["series"]
+    calls["series"] = 0
+    rc, out, _ = run(capsys, ["eig", *argv])
+    assert rc == 0
+    assert calls["eigenfield"] == 1 and calls["face_stack"] == 1
+    roots = json.loads(out)["roots"]
+    null_vectors = sum(r["nullity"] for r in roots[1:])
+    assert null_vectors >= len(roots) - 2
+    assert calls["series"] <= 2 * null_vectors + p1_series
+
 
 def test_parser_is_built_once_per_process(capsys):
     eig = ["eig", "--mode", "ps-sym", "--angle-deg", "135", "--nu", "0.3"]
@@ -131,12 +181,9 @@ def test_parser_is_built_once_per_process(capsys):
 
 def test_unbounded_work_is_refused_before_any_allocation(capsys,
                                                         monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("the solver was called")
-
-    monkeypatch.setattr(cli, "admissible_eigenvalues", no_work)
-    monkeypatch.setattr(cli, "smallest_exponents", no_work)
-    monkeypatch.setattr(cli, "eigenfield", no_work)
+    monkeypatch.setattr(cli, "admissible_eigenvalues", _no_work)
+    monkeypatch.setattr(cli, "smallest_exponents", _no_work)
+    monkeypatch.setattr(cli, "eigenfield", _no_work)
     field = ["field", "--mode", "ap", "--angle-deg", "180",
              "--eig-index", "1", "--amps", "1"]
     tracemalloc.start()
@@ -336,7 +383,7 @@ def test_field_rows_match_pointwise_evaluation(capsys, mode, angle, nu,
     assert out == "\n".join(lines) + "\n"
 
 
-def test_field_usage_errors(capsys):
+def test_field_usage_errors(capsys, monkeypatch):
     rc, _, err = run(capsys, ["field", "--mode", "ps-sym",
                               "--angle-deg", "180", "--nu", "0.3",
                               "--eig-index", "1", "--amps", "1",
@@ -369,6 +416,19 @@ def test_field_usage_errors(capsys):
                                 "180", "--eig-index", "1", "--amps", "1",
                                 "--r", radii, "--theta-steps", "3"])
         assert rc == 1
+
+    # non-finite coefficients are refused before any solve
+    monkeypatch.setattr(cli, "admissible_eigenvalues", _no_work)
+    monkeypatch.setattr(cli, "eigenfield", _no_work)
+    for flag, extra in (("--amps", ["--amps", "nan"]),
+                        ("--amps", ["--amps=-inf"]),
+                        ("--with-p1", ["--amps", "1", "--with-p1", "inf"]),
+                        ("--with-p1", ["--amps", "1", "--with-p1", "nan"])):
+        rc, out, err = run(capsys, ["field", "--mode", "ap", "--angle-deg",
+                                    "180", "--eig-index", "1", *extra,
+                                    "--r", "1", "--theta-steps", "3"])
+        assert rc == 1 and out == ""
+        assert flag in err and "finite" in err
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +485,7 @@ def test_equilibrium_antiplane_rejected(capsys):
         assert "anti-plane" in err
 
 
-def test_equilibrium_usage_errors(capsys):
+def test_equilibrium_usage_errors(capsys, monkeypatch):
     # crack modes require the full-plane angle
     rc, _, err = run(capsys, ["equilibrium", "--mode", "I",
                               "--angle-deg", "120", "--nu", "0.3",
@@ -441,6 +501,21 @@ def test_equilibrium_usage_errors(capsys):
                             "--angle-deg", "180", "--nu", "0.3",
                             "--amps", "1,0", "--r0", "0"])
     assert rc == 1
+
+    # non-finite amplitudes and radii are refused before any solve
+    for name in ("smallest_exponents", "eigenfield",
+                 "solution_from_amplitudes", "check_equilibrium"):
+        monkeypatch.setattr(cli, name, _no_work)
+    for mode, extra in (("I", ["--amps", "inf,0"]),
+                        ("II", ["--amps", "0,nan"]),
+                        ("notch-sym", ["--amps", "nan"]),
+                        ("I", ["--amps", "1,0", "--r0", "nan"]),
+                        ("notch-anti", ["--amps", "1", "--r0", "inf"])):
+        rc, out, err = run(capsys, ["equilibrium", "--mode", mode,
+                                    "--angle-deg", "180", "--nu", "0.3",
+                                    *extra])
+        assert rc == 1 and out == ""
+        assert extra[-2] in err and "finite" in err
 
 
 # ----------------------------------------------------------------------
