@@ -10,15 +10,17 @@ are its null vectors.
 
 The basis members are written down once, as a term table of
 (coef, r_exp, freq, kind) per member and displacement component
-(_member_terms); basis_fields and eigenfield build their series from it.
-The system is assembled from the closed-form face operators of
-fields.face_rows, as one stack of matrices over an array of exponents
-(one numpy determinant serves a whole grid of p). eigenfield takes a
-scalar p or a 1-D array of p, like bc_det: an array is solved in one
-pass (one face stack, one stacked SVD per pattern of kept columns). The
-constitutive series pipeline (apply_bc_operators) builds the same matrix
-by an independent route; it serves bc_residual and the tests as an
-oracle.
+(_member_terms; the p = 1 constant-strain members likewise); every field
+here is built from such a table. The face-condition system has two
+stages, each over a whole array of exponents: bc_matrix assembles the
+closed-form face operators of fields.face_rows as one stack of matrices
+over every member, and null_space takes the null vectors of a stack of
+systems over the same kept columns with one stacked SVD. bc_det,
+singular_ratio and eigenfield are built on them; eigenfield takes a
+scalar p or a 1-D array of p, like bc_det, and solves an array in one
+pass. The constitutive series pipeline (apply_bc_operators) builds the
+same matrix by an independent route; it serves bc_residual and the tests
+as an oracle.
 
 Degeneracies handled here:
 
@@ -38,7 +40,7 @@ Degeneracies handled here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -56,7 +58,6 @@ from .fields import dipolar_series, face_rows, total_theta_series
 
 __all__ = [
     "EmptyNullSpace",
-    "BCSystem",
     "third_member_ratio",
     "basis_fields",
     "apply_bc_operators",
@@ -90,18 +91,14 @@ def third_member_ratio(p: float, nu: float) -> float:
     return (p + 5.0 - 8.0 * nu) / (p - 7.0 + 8.0 * nu)
 
 
-def _single(coef, r_exp, freq, kind):
-    return PolarSeries(((coef, r_exp, freq, kind),))
-
-
 def _member_terms(mode: Mode, p: float, nu: float | None) -> tuple:
     """The standard degree-p basis members as one term table.
 
     One entry per member; an entry holds, per displacement component
     ((u_r, u_theta) for plane modes, (w,) for anti-plane), the terms
     (coef, r_exp, freq, kind) of that component. This is the one
-    transcription of the basis: basis_fields and eigenfield build their
-    series from it. Plane modes require nu.
+    transcription of the basis: every basis field is built from it.
+    Plane modes require nu.
     """
     if mode is Mode.ANTIPLANE_ODD:
         return ((((1.0, p, p, "sin"),),),
@@ -126,6 +123,19 @@ def _member_terms(mode: Mode, p: float, nu: float | None) -> tuple:
     )
 
 
+# the constant-strain (p = 1) members of each class as a term table (one
+# member per free constant), with the message for a wrong constant count
+_P1_MEMBERS = {
+    Mode.PLANE_SYM: ("symmetric plane constants are (C1, C3)", (
+        (((1.0, 1.0, 0.0, "cos"),), ()),
+        (((1.0, 1.0, 2.0, "cos"),), ((-1.0, 1.0, 2.0, "sin"),)))),
+    Mode.PLANE_ANTI: ("antisymmetric plane constant is (C2,)", (
+        (((1.0, 1.0, 2.0, "sin"),), ((1.0, 1.0, 2.0, "cos"),)),)),
+    Mode.ANTIPLANE_ODD: ("anti-plane constant is (E,)", (
+        (((1.0, 1.0, 1.0, "sin"),),),)),
+}
+
+
 def _survives(term) -> bool:
     """Whether canonical form keeps a lone term: its coefficient is finite
     and nonzero, and it is not a sin of zero frequency."""
@@ -134,17 +144,20 @@ def _survives(term) -> bool:
         kind == "sin" and abs(freq) <= KEY_TOL)
 
 
-def _kept_members(mode: Mode, p: float, table) -> tuple:
-    """Indices of the members of a term table that basis_fields keeps,
-    in closed form (no series is built): a member whose every term
-    canonical form drops is the zero field, and the plane third member
-    coincides with a combination of the others where its frequency p - 3
-    lies within KEY_TOL of -(p - 1) or -(p + 1)."""
+def _kept_terms(mode: Mode, p: float, nu: float | None) -> tuple:
+    """(kept, members): the indices of the degree-p basis members that are
+    kept, and their term-table entries, decided in closed form (no series
+    is built). A member whose every term canonical form drops is the zero
+    field, and the plane third member coincides with a combination of the
+    others where its frequency p - 3 lies within KEY_TOL of -(p - 1) or
+    -(p + 1), the keys canonical form merges; both are dropped."""
+    table = _member_terms(mode, p, nu)
     coincides = mode.is_plane and min(abs(2.0 * p - 4.0),
                                       abs(2.0 * p - 2.0)) <= KEY_TOL
-    return tuple(j for j, member in enumerate(table)
+    kept = tuple(j for j, member in enumerate(table)
                  if not (j == 2 and coincides)
                  and any(_survives(t) for comp in member for t in comp))
+    return kept, [table[j] for j in kept]
 
 
 def _combined_field(mode: Mode, members, amps) -> DisplacementField:
@@ -160,23 +173,18 @@ def _combined_field(mode: Mode, members, amps) -> DisplacementField:
     return DisplacementField.antiplane(*series)
 
 
-def basis_fields(case: WedgeCase, p: float, nu: float | None = None, *,
-                 keep_zero: bool = False) -> tuple[tuple, tuple]:
+def basis_fields(case: WedgeCase, p: float,
+                 nu: float | None = None) -> tuple[tuple, tuple]:
     """Standard degree-p basis members for the given symmetry class.
 
-    Returns (fields, kept_indices). Degenerate members are dropped
-    (kept_indices records the survivors) unless keep_zero is set: a member
-    that is the zero field, and the plane third member where it coincides
-    with a combination of the others (its frequency p - 3 within KEY_TOL
-    of -(p - 1) or -(p + 1), the keys canonical form merges). Plane modes
-    require nu.
+    Returns (fields, kept_indices). Degenerate members are dropped and
+    kept_indices records the survivors: a member that is the zero field,
+    and the plane third member where it coincides with a combination of
+    the others (p within KEY_TOL / 2 of 2 or of 1). Plane modes require nu.
     """
-    mode = case.mode
-    table = _member_terms(mode, p, nu)
-    kept = (tuple(range(len(table))) if keep_zero
-            else _kept_members(mode, p, table))
-    return tuple(_combined_field(mode, (table[j],), (1.0,))
-                 for j in kept), kept
+    kept, members = _kept_terms(case.mode, p, nu)
+    return tuple(_combined_field(case.mode, (member,), (1.0,))
+                 for member in members), kept
 
 
 def apply_bc_operators(field: DisplacementField, nu: float) -> tuple:
@@ -197,20 +205,21 @@ def apply_bc_operators(field: DisplacementField, nu: float) -> tuple:
     return (t["t_tz"].times_r_power(3), m["m_ttz"].times_r_power(2))
 
 
-def _face_stack(case: WedgeCase, p: np.ndarray, nu: float | None):
+def bc_matrix(case: WedgeCase, p: np.ndarray, nu: float | None):
     """Face-condition matrices and column scales of every basis member
     (degenerate ones kept) at each exponent of the 1-D array p.
 
     Returns (matrices, col_scales) of shapes (n_p, rows, members) and
-    (n_p, members). The entries are the closed-form face operators at
-    (r, theta) = (1, a); a column's scale is its largest coefficient,
-    as in the canonical series the pipeline would build.
+    (n_p, members), the members in standard order. The entries are the
+    closed-form face operators at (r, theta) = (1, a); a column's scale is
+    its largest coefficient, as in the canonical series the pipeline would
+    build. A solve over the kept members takes their columns of both.
     """
     rows = face_rows(case.mode, p, nu)
     coef = rows.coef
     if case.mode.is_plane:
         # the third member is rescaled by its pole factor only near the
-        # pole, exactly as basis_fields builds it
+        # pole, exactly as the member term table writes it
         pole = p - 7.0 + 8.0 * nu
         near = np.abs(pole) < _POLE_TOL
         coef[:, :, 2] /= np.where(near, 1.0, pole)[:, np.newaxis]
@@ -223,39 +232,17 @@ def _face_stack(case: WedgeCase, p: np.ndarray, nu: float | None):
     return matrix, np.max(np.abs(coef), axis=1)
 
 
-@dataclass(frozen=True)
-class BCSystem:
-    """Face-condition system: matrix rows are the operators at theta = a,
-    columns the kept basis members; col_scales are each column's natural
-    coefficient magnitudes, used to normalize before rank decisions."""
-
-    fields: tuple
-    kept: tuple
-    matrix: np.ndarray
-    col_scales: np.ndarray
-
-
-def bc_matrix(case: WedgeCase, p: float, nu: float, *,
-              keep_zero: bool = False) -> BCSystem:
-    """Assemble the face-condition system at exponent p."""
-    fields, kept = basis_fields(case, p, nu, keep_zero=keep_zero)
-    matrix, scales = _face_stack(case, np.array([float(p)]), nu)
-    cols = list(kept)
-    return BCSystem(fields=fields, kept=kept, matrix=matrix[0][:, cols],
-                    col_scales=scales[0][cols])
-
-
 def bc_det(case: WedgeCase, p, nu: float):
     """Determinant of the raw square face-condition matrix (degenerate
     members kept, so the determinant vanishes with them), at a scalar p
     (returns a float) or at each p of a 1-D array (returns an array)."""
     p_arr = np.asarray(p, dtype=float)
-    matrix, _ = _face_stack(case, np.atleast_1d(p_arr), nu)
+    matrix, _ = bc_matrix(case, np.atleast_1d(p_arr), nu)
     det = np.linalg.det(matrix)
     return float(det[0]) if p_arr.ndim == 0 else det
 
 
-def _null_vectors(matrices: np.ndarray, col_scales: np.ndarray) -> list:
+def null_space(matrices: np.ndarray, col_scales: np.ndarray) -> list:
     """Null vectors of each system of a stack, from one stacked SVD.
 
     matrices (n, rows, cols) and col_scales (n, cols) hold n face-condition
@@ -283,22 +270,19 @@ def _null_vectors(matrices: np.ndarray, col_scales: np.ndarray) -> list:
     return found
 
 
-def null_space(system: BCSystem) -> list:
-    """Null vectors of one face-condition system (see _null_vectors)."""
-    return _null_vectors(system.matrix[np.newaxis],
-                         system.col_scales[np.newaxis])[0]
-
-
 def singular_ratio(case: WedgeCase, p: float, nu: float) -> float:
-    """Smallest-to-largest singular value of the normalized system.
+    """Smallest-to-largest singular value of the normalized system over
+    the kept basis members.
 
     The denominator is floored at the unit column scale so the ratio stays
     meaningful for one-column systems. Near an eigenvalue the ratio drops
     toward zero; away from eigenvalues it is order one.
     """
-    system = bc_matrix(case, p, nu)
-    sigma = np.linalg.svd(system.matrix
-                          / np.maximum(system.col_scales, 1e-300),
+    kept, _ = _kept_terms(case.mode, p, nu)
+    matrices, scales = bc_matrix(case, np.array([float(p)]), nu)
+    cols = list(kept)
+    sigma = np.linalg.svd(matrices[0][:, cols]
+                          / np.maximum(scales[0][cols], 1e-300),
                           compute_uv=False)
     return float(sigma[-1]) / max(float(sigma[0]), 1.0)
 
@@ -372,23 +356,22 @@ def _eigenfields(case: WedgeCase, material: MaterialParams, ps) -> list:
         if abs(p - 1.0) <= 1e-12:
             sols[k] = special_p1_solution(case, material)
             continue
-        table = _member_terms(mode, p, nu)
-        kept = _kept_members(mode, p, table)
+        kept, members = _kept_terms(mode, p, nu)
         patterns.setdefault(kept, []).append(len(solve))
-        solve.append((k, p, [table[j] for j in kept]))
+        solve.append((k, p, members))
     if not solve:
         return sols
-    matrices, scales = _face_stack(case, np.array([p for _, p, _ in solve]),
-                                   nu)
+    matrices, scales = bc_matrix(case, np.array([p for _, p, _ in solve]),
+                                 nu)
     for kept, at in patterns.items():
         cols = list(kept)
-        found = _null_vectors(matrices[at][:, :, cols], scales[at][:, cols])
+        found = null_space(matrices[at][:, :, cols], scales[at][:, cols])
         for i, vectors in zip(at, found):
             if not vectors:
                 continue
             k, p, members = solve[i]
             if len(vectors) == 1:
-                # _null_vectors already put the largest component positive
+                # null_space already put the largest component positive
                 rows = [vectors[0] / np.linalg.norm(vectors[0])]
             else:
                 rows = _echelon(np.column_stack(vectors))
@@ -410,53 +393,35 @@ def special_p1_field(mode: Mode, constants) -> DisplacementField:
     conditions for every wedge angle.
     """
     vals = tuple(float(x) for x in constants)
-    if mode is Mode.PLANE_SYM:
-        if len(vals) != 2:
-            raise ValueError("symmetric plane constants are (C1, C3)")
-        c1, c3 = vals
-        u_r = PolarSeries(((c1, 1.0, 0.0, "cos"), (c3, 1.0, 2.0, "cos")))
-        u_t = _single(-c3, 1.0, 2.0, "sin")
-        return DisplacementField.plane(mode, u_r, u_t)
-    if mode is Mode.PLANE_ANTI:
-        if len(vals) != 1:
-            raise ValueError("antisymmetric plane constant is (C2,)")
-        (c2,) = vals
-        return DisplacementField.plane(mode, _single(c2, 1.0, 2.0, "sin"),
-                                       _single(c2, 1.0, 2.0, "cos"))
-    if len(vals) != 1:
-        raise ValueError("anti-plane constant is (E,)")
-    (e_amp,) = vals
-    return DisplacementField.antiplane(_single(e_amp, 1.0, 1.0, "sin"))
+    message, members = _P1_MEMBERS[mode]
+    if len(vals) != len(members):
+        raise ValueError(message)
+    return _combined_field(mode, members, vals)
 
 
 def special_p1_solution(case: WedgeCase,
                         material: MaterialParams) -> EigenSolution:
     """The p = 1 constant-strain family as an eigensolution."""
     validate_case(material, case)
-    mode = case.mode
-    if mode is Mode.PLANE_SYM:
-        units = ((1.0, 0.0), (0.0, 1.0))
-    else:
-        units = ((1.0,),)
-    fields = tuple(special_p1_field(mode, u) for u in units)
+    n = len(_P1_MEMBERS[case.mode][1])
+    units = tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
+    fields = tuple(special_p1_field(case.mode, u) for u in units)
     return EigenSolution(case=case, material=material, p=1.0,
                          kind="special_p1", nullity=len(fields),
                          amplitudes=units, fields=fields)
 
 
 def solution_from_amplitudes(case: WedgeCase, material: MaterialParams,
-                             p: float, amp_vectors, *,
-                             p1_constants=None) -> EigenSolution:
+                             p: float, amp_vectors) -> EigenSolution:
     """Package given basis amplitudes as an eigensolution without solving
     the face conditions (for injected configurations and direct checks).
 
     Each amplitude vector spans the kept basis members at exponent p;
-    p1_constants optionally attaches a constant-strain part.
+    attach_p1 adds a constant-strain part.
     """
     validate_case(material, case)
-    table = _member_terms(case.mode, p, material.nu)
-    members = [table[j] for j in _kept_members(case.mode, p, table)]
-    amps, fields = [], []
+    _, members = _kept_terms(case.mode, p, material.nu)
+    amps = []
     for vec in amp_vectors:
         v = tuple(float(x) for x in vec)
         if len(v) != len(members):
@@ -464,16 +429,11 @@ def solution_from_amplitudes(case: WedgeCase, material: MaterialParams,
                 f"amplitude vector length {len(v)} != basis size "
                 f"{len(members)} at p = {p}")
         amps.append(v)
-        fields.append(_combined_field(case.mode, members, v))
-    p1_field = None
-    p1_vals = None
-    if p1_constants is not None:
-        p1_field = special_p1_field(case.mode, p1_constants)
-        p1_vals = tuple(float(x) for x in p1_constants)
     return EigenSolution(case=case, material=material, p=p,
-                         kind="bracket_root", nullity=len(fields),
-                         amplitudes=tuple(amps), fields=tuple(fields),
-                         p1_coefficients=p1_vals, p1_field=p1_field)
+                         kind="bracket_root", nullity=len(amps),
+                         amplitudes=tuple(amps),
+                         fields=tuple(_combined_field(case.mode, members, v)
+                                      for v in amps))
 
 
 def attach_p1(sol: EigenSolution, constants) -> EigenSolution:

@@ -1,10 +1,11 @@
 """Characteristic functions for the wedge eigenvalue problem.
 
 For each loading mode the vanishing of a transcendental "bracket" function
-of the exponent p selects the admissible power-law solutions. The full
-characteristic function is the bracket times a polynomial prefactor whose
-roots (p = 1, p = 2) correspond to degenerate basis configurations rather
-than genuine eigenvalues, so root scanning operates on the bracket alone.
+of the exponent p selects the admissible power-law solutions. The face
+determinant (basis.bc_det) also carries polynomial factors, (p-1)^4 (p-2)^2
+for plane modes and (p-1)^2 (p-2) for the anti-plane mode, whose roots
+correspond to degenerate basis configurations rather than genuine
+eigenvalues, so root scanning operates on the bracket alone.
 
 All functions are vectorized over p. The three brackets also accept
 complex p, so the root scanner can take their exact derivative by the
@@ -21,10 +22,7 @@ __all__ = [
     "char_plane_sym",
     "char_plane_anti",
     "char_antiplane",
-    "prefactor_plane",
-    "prefactor_antiplane",
     "char_bracket",
-    "char_full",
 ]
 
 
@@ -71,20 +69,6 @@ def char_antiplane(p, a):
     return out if out.ndim else out.item()
 
 
-def prefactor_plane(p):
-    """Polynomial prefactor (p-1)^4 (p-2)^2 of the full plane functions."""
-    p = np.asarray(p, dtype=float)
-    out = (p - 1.0) ** 4 * (p - 2.0) ** 2
-    return out if out.ndim else float(out)
-
-
-def prefactor_antiplane(p):
-    """Polynomial prefactor (p-1)^2 (p-2) of the full anti-plane function."""
-    p = np.asarray(p, dtype=float)
-    out = (p - 1.0) ** 2 * (p - 2.0)
-    return out if out.ndim else float(out)
-
-
 def char_bracket(p, case: WedgeCase, nu=None):
     """Dispatch to the bracket function for the case's mode."""
     a = case.half_angle_a
@@ -93,14 +77,6 @@ def char_bracket(p, case: WedgeCase, nu=None):
     if case.mode is Mode.PLANE_ANTI:
         return char_plane_anti(p, a, _require_nu(nu))
     return char_antiplane(p, a)
-
-
-def char_full(p, case: WedgeCase, nu=None):
-    """Bracket times polynomial prefactor (the complete determinant form)."""
-    bracket = char_bracket(p, case, nu)
-    if case.mode.is_plane:
-        return prefactor_plane(p) * bracket
-    return prefactor_antiplane(p) * bracket
 
 
 def _exponent(p):

@@ -56,6 +56,10 @@ _P1_CONSTANT_NAMES = {Mode.PLANE_SYM: "c1,c3", Mode.PLANE_ANTI: "c2",
 _MAX_P = 100.0
 _MAX_SWEEP_ANGLES = 10001
 _MAX_FIELD_ROWS = 1_000_000
+# a coarser refinement leaves roots at their scan points, where the face
+# system is too far from singular to give a null vector (from 3e-6 on,
+# some roots are reported with nullity 0)
+_MAX_TOL = 1e-8
 
 _NU_HELP = ("Poisson ratio in (-1, 0.5); required for plane modes, "
             "ignored for ap")
@@ -177,8 +181,9 @@ def _scan_options(args) -> RootScanOptions:
                              f"got {p_max:g}")
         kwargs["p_max"] = p_max
     if tol is not None:
-        if not tol > 0.0:
-            raise UsageError(f"--tol must be positive, got {tol:g}")
+        if not 0.0 < tol <= _MAX_TOL:
+            raise UsageError(f"--tol must lie in (0, {_MAX_TOL:g}], "
+                             f"got {tol:g}")
         kwargs["refine_tol"] = tol
     return RootScanOptions(**kwargs)
 
@@ -488,7 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"upper end of the exponent scan (default 4, "
                             f"at most {_MAX_P:g})")
     p_eig.add_argument("--tol", type=float, default=None,
-                       help="root refinement tolerance (default 1e-12)")
+                       help=f"root refinement tolerance, in "
+                            f"(0, {_MAX_TOL:g}] (default 1e-12)")
     _add_material_flags(p_eig)
     p_eig.set_defaults(func=cmd_eig)
 

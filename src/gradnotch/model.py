@@ -108,9 +108,9 @@ class PolarPoint:
 
 def validate_case(material: MaterialParams, case: WedgeCase) -> None:
     """Raise OutOfRange unless material and wedge parameters are admissible."""
-    if not material.mu > 0.0:
+    if not 0.0 < material.mu < math.inf:
         raise OutOfRange("mu", material.mu, "(0, inf)")
-    if not material.c > 0.0:
+    if not 0.0 < material.c < math.inf:
         raise OutOfRange("c", material.c, "(0, inf)")
     if not -1.0 < material.nu < 0.5:
         raise OutOfRange("nu", material.nu, "(-1, 1/2)")
@@ -417,7 +417,7 @@ class EigenSolution:
     are coordinates over the free constants of the special field.
 
     p1_coefficients/p1_field carry an optional constant-strain part attached
-    to a bracket-root solution; includes_p1_part reflects their presence.
+    to a bracket-root solution (basis.attach_p1).
     """
 
     case: WedgeCase
@@ -429,10 +429,6 @@ class EigenSolution:
     fields: tuple
     p1_coefficients: tuple | None = None
     p1_field: DisplacementField | None = None
-
-    @property
-    def includes_p1_part(self) -> bool:
-        return self.p1_field is not None
 
     def combined_field(self, amp, include_p1: bool = True) -> DisplacementField:
         """Resolve an amplitude selector into a displacement field.

@@ -313,8 +313,8 @@ def _dual_construction_worst(mode: Mode, rng: random.Random,
     else:
         label, amps, p1 = "III", (rng.uniform(-2, 2),), (rng.uniform(-1, 1),)
     std = _fields.crack_mode_std_amplitudes(label, amps, nu)
-    sol = _basis.solution_from_amplitudes(case, material, 1.5, [std],
-                                          p1_constants=p1)
+    sol = _basis.attach_p1(
+        _basis.solution_from_amplitudes(case, material, 1.5, [std]), p1)
     combined = sol.combined_field(0)
     series = _fields.field_series_map(combined, material)
     ref_amps = (p1 + amps) if label != "I" else (p1[0], p1[1]) + amps

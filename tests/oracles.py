@@ -357,7 +357,7 @@ def eigenfield_per_root(case, material, p):
     if abs(p - 1.0) <= 1e-12:
         return basis.special_p1_solution(case, material)
     members, kept = basis_members(case.mode, p, material.nu)
-    matrices, scales = basis._face_stack(case, np.array([p]), material.nu)
+    matrices, scales = basis.bc_matrix(case, np.array([p]), material.nu)
     cols = list(kept)
     vectors = null_vectors_one_system(matrices[0][:, cols], scales[0][cols])
     if not vectors:

@@ -87,8 +87,8 @@ def test_antiplane_members():
 
 
 def test_antiplane_second_member_degenerates_at_two():
-    members, kept = basis_fields(_case(math.pi / 2, Mode.ANTIPLANE_ODD), 2.0,
-                                 keep_zero=True)
+    members, kept = oracles.basis_members(Mode.ANTIPLANE_ODD, 2.0, None,
+                                          keep_zero=True)
     assert kept == (0, 1)
     assert members[1].is_zero and not members[0].is_zero
     members, kept = basis_fields(_case(math.pi / 2, Mode.ANTIPLANE_ODD), 2.0)
@@ -103,8 +103,9 @@ def test_pole_exponent_keeps_members_finite():
     for member in members:
         for series in member.components():
             assert all(math.isfinite(t.coef) for t in series.terms)
-    system = bc_matrix(_case(2.2, Mode.PLANE_SYM), pole, nu)
-    assert np.all(np.isfinite(system.matrix))
+    matrices, scales = bc_matrix(_case(2.2, Mode.PLANE_SYM), np.array([pole]),
+                                 nu)
+    assert np.all(np.isfinite(matrices)) and np.all(np.isfinite(scales))
 
 
 # ----------------------------------------------------------------------
@@ -112,19 +113,19 @@ def test_pole_exponent_keeps_members_finite():
 # ----------------------------------------------------------------------
 
 def test_bc_matrix_shapes_and_scales():
-    plane = bc_matrix(_case(2.5, Mode.PLANE_SYM), 1.7, 0.3)
-    assert plane.matrix.shape == (4, 4)
-    assert len(plane.col_scales) == 4
-    assert all(s > 0 for s in plane.col_scales)
-    anti = bc_matrix(_case(2.5, Mode.ANTIPLANE_ODD), 1.7, 0.3)
-    assert anti.matrix.shape == (2, 2)
+    ps = np.array([1.7, 2.9, 3.4])
+    matrices, scales = bc_matrix(_case(2.5, Mode.PLANE_SYM), ps, 0.3)
+    assert matrices.shape == (3, 4, 4) and scales.shape == (3, 4)
+    assert np.all(scales > 0)
+    matrices, scales = bc_matrix(_case(2.5, Mode.ANTIPLANE_ODD), ps, 0.3)
+    assert matrices.shape == (3, 2, 2) and scales.shape == (3, 2)
 
 
 def _pipeline_system(case, p, nu):
     """Face-condition matrix and column scales of every basis member,
     built through the series pipeline: the operators evaluated at
     (r, theta) = (1, a), each column scaled by its largest coefficient."""
-    members, _ = basis_fields(case, p, nu, keep_zero=True)
+    members, _ = oracles.basis_members(case.mode, p, nu, keep_zero=True)
     matrix = np.zeros((4 if case.mode.is_plane else 2, len(members)))
     scales = np.zeros(len(members))
     for j, member in enumerate(members):
@@ -136,14 +137,14 @@ def _pipeline_system(case, p, nu):
 
 
 def _assert_matches_pipeline(case, p, nu):
-    system = bc_matrix(case, p, nu, keep_zero=True)
+    matrices, col_scales = bc_matrix(case, np.array([p]), nu)
     matrix, scales = _pipeline_system(case, p, nu)
     label = f"{case.mode.value} a={case.half_angle_a!r} p={p!r} nu={nu!r}"
-    assert system.matrix.shape == matrix.shape, label
+    assert matrices[0].shape == matrix.shape, label
     # 1e-12 leaves room for the pipeline's own roundoff, which grows like
     # ulp * lambda / mu as nu nears 1/2
-    assert np.all(np.abs(system.matrix - matrix) <= 1e-12 * scales), label
-    assert np.all(np.abs(system.col_scales - scales) <= 1e-12 * scales), label
+    assert np.all(np.abs(matrices[0] - matrix) <= 1e-12 * scales), label
+    assert np.all(np.abs(col_scales[0] - scales) <= 1e-12 * scales), label
 
 
 def test_closed_form_face_matrix_matches_pipeline_at_random_cases():
@@ -177,7 +178,7 @@ def test_closed_form_face_matrix_holds_digits_as_nu_nears_half(mode):
     nu = 0.4999
     p = 7.0 - 8.0 * nu - 5e-7
     case = _case(math.pi / 2, mode)
-    system = bc_matrix(case, p, nu, keep_zero=True)
+    matrices, scales = bc_matrix(case, np.array([p]), nu)
     with mp.workdps(40):
         exact = face_rows(mode, np.array([mp.mpf(p)], dtype=object),
                           mp.mpf(nu))
@@ -186,26 +187,26 @@ def test_closed_form_face_matrix_holds_digits_as_nu_nears_half(mode):
             for j in range(4):
                 angle = exact.freq[0, j] * case.half_angle_a
                 want = exact.coef[0, i, j] * trig(angle)
-                assert abs(system.matrix[i, j] - want) <= (
-                    1e-15 * system.col_scales[j])
+                assert abs(matrices[0, i, j] - want) <= 1e-15 * scales[0, j]
     for j in range(4):
         scale = max(abs(exact.coef[0, i, j]) for i in range(4))
-        assert abs(system.col_scales[j] - scale) <= 1e-15 * scale
+        assert abs(scales[0, j] - scale) <= 1e-15 * scale
 
 
 def test_degenerate_face_matrix_columns():
-    anti = bc_matrix(_case(math.pi / 2, Mode.ANTIPLANE_ODD), 2.0, 0.3,
-                     keep_zero=True)
-    assert anti.kept == (0, 1)
-    assert anti.col_scales[1] == 0.0 and np.all(anti.matrix[:, 1] == 0.0)
-    dropped = bc_matrix(_case(math.pi / 2, Mode.ANTIPLANE_ODD), 2.0, 0.3)
-    assert dropped.kept == (0,) and dropped.matrix.shape == (2, 1)
+    # every member has a column, the zero one included; the kept members
+    # are a choice of columns
+    anti = _case(math.pi / 2, Mode.ANTIPLANE_ODD)
+    (matrix,), (scales,) = bc_matrix(anti, np.array([2.0]), 0.3)
+    assert matrix.shape == (2, 2)
+    assert scales[1] == 0.0 and np.all(matrix[:, 1] == 0.0)
+    assert basis_fields(anti, 2.0, 0.3)[1] == (0,)
     # at p = 3 the third member's sin(0 theta) rows leave its scale to
     # the cos(0 theta) rows, whose entries are their coefficients
-    sym = bc_matrix(_case(2.5, Mode.PLANE_SYM), 3.0, 0.3)
-    assert sym.matrix[0, 2] == 0.0 and sym.matrix[3, 2] == 0.0
-    assert sym.col_scales[2] == max(abs(sym.matrix[1, 2]),
-                                    abs(sym.matrix[2, 2]))
+    (sym,), (scales,) = bc_matrix(_case(2.5, Mode.PLANE_SYM), np.array([3.0]),
+                                  0.3)
+    assert sym[0, 2] == 0.0 and sym[3, 2] == 0.0
+    assert scales[2] == max(abs(sym[1, 2]), abs(sym[2, 2]))
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -246,10 +247,24 @@ def test_singular_ratio_collapses_exactly_at_roots():
         assert singular_ratio(case, roots[0] + 0.13, nu) > 1e-4
 
 
+def _members_and_null_vectors(case, p, nu, keep_zero=False):
+    """(members, kept, vectors) at one exponent: the kept basis members
+    (every member, from the literal oracle, with keep_zero) and the null
+    vectors of their face system, from a one-exponent bc_matrix stack cut
+    to their columns and one null_space call."""
+    if keep_zero:
+        members, kept = oracles.basis_members(case.mode, p, nu, keep_zero)
+    else:
+        members, kept = basis_fields(case, p, nu)
+    matrices, scales = bc_matrix(case, np.array([p]), nu)
+    cols = list(kept)
+    return members, kept, null_space(matrices[:, :, cols],
+                                     scales[:, cols])[0]
+
+
 def test_null_space_vectors_are_normalized():
-    case = _case(math.pi, Mode.PLANE_SYM)
-    system = bc_matrix(case, 1.5, 0.3)
-    vectors = null_space(system)
+    _, _, vectors = _members_and_null_vectors(_case(math.pi, Mode.PLANE_SYM),
+                                              1.5, 0.3)
     assert len(vectors) == 2
     for vec in vectors:
         assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-12)
@@ -348,17 +363,16 @@ def test_exact_zero_field_filter_matches_sampling_oracle():
     for case, material, p in _filter_cases():
         label = (f"{case.mode.value} a={case.half_angle_a!r} "
                  f"nu={material.nu!r} p={p!r}")
-        system = bc_matrix(case, p, material.nu)
+        members, _, vectors = _members_and_null_vectors(case, p, material.nu)
         a = case.half_angle_a
-        want = oracles.sampled_zero_field_filter(
-            system.fields, null_space(system), a)
+        want = oracles.sampled_zero_field_filter(members, vectors, a)
         try:
             sol = eigenfield(case, material, p)
         except EmptyNullSpace:
             assert want == [], label
             continue
         assert sol.nullity == len(want), label
-        samples = oracles.member_samples(system.fields, a)
+        samples = oracles.member_samples(members, a)
         got = samples @ np.array(sol.amplitudes).T
         assert oracles.largest_principal_angle(
             got, samples @ np.column_stack(want)) <= 1e-12, label
@@ -392,31 +406,31 @@ def test_coinciding_third_member_is_dropped_within_key_tol(mode, nu):
         a = case.half_angle_a
         for p in near_two + near_one:
             label = f"{mode.value} {angle} nu={nu!r} p={p!r}"
-            system = bc_matrix(case, p, nu)
-            assert 2 not in system.kept, label
+            members, kept, vectors = _members_and_null_vectors(case, p, nu)
+            assert 2 not in kept, label
             try:
                 sol = eigenfield(case, material, p)
             except EmptyNullSpace:
                 sol = None
             # no null direction of the kept members is a zero field
-            _assert_spans_sampled_filter(sol, system.fields,
-                                         null_space(system), a, 1e-12, label)
+            _assert_spans_sampled_filter(sol, members, vectors, a, 1e-12,
+                                         label)
             if p in near_two:
                 # and they span what the filter keeps of all four members'
                 # null space; off p = 2 the dropped member differs from
                 # its combination by O(p - 2), up to 330 |p - 2| in angle
                 # at nu = 0.4999
-                full = bc_matrix(case, p, nu, keep_zero=True)
+                every, _, vectors = _members_and_null_vectors(
+                    case, p, nu, keep_zero=True)
                 _assert_spans_sampled_filter(
-                    sol, full.fields, null_space(full), a,
-                    1e-12 + 1e3 * abs(p - 2.0), label)
+                    sol, every, vectors, a, 1e-12 + 1e3 * abs(p - 2.0),
+                    label)
         for p in (2.0 + 6e-10, 2.0 - 6e-10):
             # outside KEY_TOL the member stays and every null direction
             # is reported, as the coefficient-level filter reported it
             label = f"{mode.value} {angle} nu={nu!r} p={p!r}"
-            system = bc_matrix(case, p, nu)
-            assert system.kept == (0, 1, 2, 3), label
-            vectors = null_space(system)
+            _, kept, vectors = _members_and_null_vectors(case, p, nu)
+            assert kept == (0, 1, 2, 3), label
             sol = eigenfield(case, material, p)
             assert sol.nullity == len(vectors), label
             assert oracles.largest_principal_angle(
@@ -454,7 +468,7 @@ def test_nullity_one_amplitudes_are_the_normalized_null_vector():
             for p in find_roots(case, None if mode is Mode.ANTIPLANE_ODD
                                 else nu):
                 sol = eigenfield(case, MaterialParams(nu=nu), p)
-                vectors = null_space(bc_matrix(case, p, nu))
+                _, _, vectors = _members_and_null_vectors(case, p, nu)
                 if sol.nullity != 1 or len(vectors) != 1:
                     continue
                 v = vectors[0] / np.linalg.norm(vectors[0])
@@ -509,8 +523,7 @@ def test_array_eigenfield_matches_per_root_route_bit_for_bit():
                 sols = eigenfield(case, material, np.array(ps))
                 cases += 1
                 assert len(sols) == len(ps)
-                patterns = {basis._kept_members(
-                    mode, p, basis._member_terms(mode, p, nu)) for p in ps}
+                patterns = {basis._kept_terms(mode, p, nu)[0] for p in ps}
                 mixed += len(patterns) > 1
                 for p, sol in zip(ps, sols):
                     label = f"{mode.value} {angle} nu={nu!r} p={p!r}"
@@ -555,13 +568,16 @@ def test_term_table_and_kept_predicate_reproduce_the_literal_members(mode):
     for nu in _EDGE_NUS:
         for p in _predicate_exponents(mode, nu):
             label = f"{mode.value} nu={nu!r} p={p!r}"
-            for keep_zero in (True, False):
-                members, kept = oracles.basis_members(mode, p, nu, keep_zero)
-                got, got_kept = basis_fields(_case(math.pi, mode), p, nu,
-                                             keep_zero=keep_zero)
-                assert got_kept == kept, label
-                assert list(map(_field_bits, got)) == \
-                    list(map(_field_bits, members)), label
+            members, kept = oracles.basis_members(mode, p, nu)
+            got, got_kept = basis_fields(_case(math.pi, mode), p, nu)
+            assert got_kept == kept, label
+            assert list(map(_field_bits, got)) == \
+                list(map(_field_bits, members)), label
+            # every member of the table, the dropped ones included
+            every, _ = oracles.basis_members(mode, p, nu, keep_zero=True)
+            table = basis._member_terms(mode, p, nu)
+            assert [_field_bits(basis._combined_field(mode, (m,), (1.0,)))
+                    for m in table] == list(map(_field_bits, every)), label
             seen.add(kept)
     # next to p = 1 the plane member with frequency p - 1 in its sin
     # component is the zero field too
@@ -607,7 +623,7 @@ def test_nullity_two_basis_is_reduced_echelon_of_the_null_span():
     for case, material, p, sol in _nullity_two_roots(nus):
         rows = np.array(sol.amplitudes)
         _assert_echelon(rows)
-        vectors = null_space(bc_matrix(case, p, material.nu))
+        _, _, vectors = _members_and_null_vectors(case, p, material.nu)
         assert oracles.largest_principal_angle(
             rows.T, np.column_stack(vectors)) <= 1e-12
         seen += 1

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import oracles
-from gradnotch.charfn import (char_antiplane, char_bracket, char_full,
-                              char_plane_anti, char_plane_sym,
-                              prefactor_antiplane, prefactor_plane)
+from gradnotch.charfn import (char_antiplane, char_bracket,
+                              char_plane_anti, char_plane_sym)
 from gradnotch.model import Mode, WedgeCase
 
 P_GRID = np.linspace(1.05, 3.95, 13)
@@ -118,22 +117,3 @@ def test_bracket_dispatch_matches_direct_functions():
             assert char_bracket(p, anti, 0.3) == char_plane_anti(p, a, 0.3)
             assert char_bracket(p, ap) == char_antiplane(p, a)
 
-
-def test_full_function_is_prefactor_times_bracket():
-    case = WedgeCase(half_angle_a=2.3, mode=Mode.PLANE_SYM)
-    ap = WedgeCase(half_angle_a=2.3, mode=Mode.ANTIPLANE_ODD)
-    for p in (1.25, 1.8, 3.1):
-        assert char_full(p, case, 0.3) == pytest.approx(
-            prefactor_plane(p) * char_plane_sym(p, 2.3, 0.3), rel=1e-14)
-        assert char_full(p, ap) == pytest.approx(
-            prefactor_antiplane(p) * char_antiplane(p, 2.3), rel=1e-14)
-
-
-def test_prefactors_vanish_only_at_degenerate_exponents():
-    assert prefactor_plane(1.0) == 0.0
-    assert prefactor_plane(2.0) == 0.0
-    assert prefactor_antiplane(1.0) == 0.0
-    assert prefactor_antiplane(2.0) == 0.0
-    for p in (1.5, 2.5, 3.0):
-        assert prefactor_plane(p) != 0.0
-        assert prefactor_antiplane(p) != 0.0

@@ -106,10 +106,13 @@ def test_eig_usage_errors(capsys):
                               "--mu", "-1"])
     assert rc == 1
 
-    rc, _, err = run(capsys, ["eig", "--mode", "ap", "--angle-deg", "120",
-                              "--tol", "nan"])
-    assert rc == 1
-    assert "--tol" in err
+    # a tolerance coarser than 1e-8 leaves roots unrefined and without
+    # eigenfields
+    for value in ("nan", "inf", "1e-3", "0", "-1e-12"):
+        rc, out, err = run(capsys, ["eig", "--mode", "ap",
+                                    "--angle-deg", "120", "--tol", value])
+        assert rc == 1 and out == ""
+        assert "--tol" in err
 
     # non-finite material constants: no traceback, no bare inf in the JSON
     for flag, value in (("--mu", "nan"), ("--mu", "inf"), ("--c", "inf"),
@@ -128,9 +131,9 @@ def test_eig_usage_errors(capsys):
     ["--mode", "ap", "--angle-deg", "179.9999", "--p-max", "12"],
 ])
 def test_eig_request_is_one_batched_pass(capsys, monkeypatch, argv):
-    # one eigenfield call over every root, one face stack, and at most
-    # two series per reported null vector beyond the p = 1 entry's
-    calls = {"eigenfield": 0, "face_stack": 0, "series": 0}
+    # one eigenfield call over every root, one face-matrix stack, and at
+    # most two series per reported null vector beyond the p = 1 entry's
+    calls = {"eigenfield": 0, "bc_matrix": 0, "series": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -140,8 +143,8 @@ def test_eig_request_is_one_batched_pass(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(cli, "eigenfield",
                         counted("eigenfield", cli.eigenfield))
-    monkeypatch.setattr(basis, "_face_stack",
-                        counted("face_stack", basis._face_stack))
+    monkeypatch.setattr(basis, "bc_matrix",
+                        counted("bc_matrix", basis.bc_matrix))
     monkeypatch.setattr(PolarSeries, "__post_init__",
                         counted("series", PolarSeries.__post_init__))
     mode = cli._MODE_BY_LABEL[argv[1]]
@@ -151,7 +154,7 @@ def test_eig_request_is_one_batched_pass(capsys, monkeypatch, argv):
     calls["series"] = 0
     rc, out, _ = run(capsys, ["eig", *argv])
     assert rc == 0
-    assert calls["eigenfield"] == 1 and calls["face_stack"] == 1
+    assert calls["eigenfield"] == 1 and calls["bc_matrix"] == 1
     roots = json.loads(out)["roots"]
     null_vectors = sum(r["nullity"] for r in roots[1:])
     assert null_vectors >= len(roots) - 2

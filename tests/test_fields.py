@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gradnotch.basis import solution_from_amplitudes
+from gradnotch.basis import attach_p1, solution_from_amplitudes
 from gradnotch.fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
                               crack_mode_std_amplitudes,
                               crack_reference_fields, dipolar_series,
@@ -117,7 +117,7 @@ def _crack_solution(mode_label, amps, nu=0.3, mu=1.0, c=1.0):
     n_p1 = {"I": 2, "II": 1, "III": 1}[mode_label]
     p1 = oracles.crack_mode_p1_constants(mode_label, amps[:n_p1])
     std = crack_mode_std_amplitudes(mode_label, amps[n_p1:], nu)
-    sol = solution_from_amplitudes(case, mat, 1.5, [std], p1_constants=p1)
+    sol = attach_p1(solution_from_amplitudes(case, mat, 1.5, [std]), p1)
     return sol, mat
 
 

@@ -47,6 +47,15 @@ def test_validate_rejects_nonpositive_moduli(mu, c):
         validate_case(MaterialParams(nu=0.3, mu=mu, c=c), case)
 
 
+@pytest.mark.parametrize("mu,c", [(math.inf, 1.0), (1.0, math.inf),
+                                  (math.inf, math.inf), (math.nan, 1.0),
+                                  (1.0, math.nan)])
+def test_validate_rejects_nonfinite_moduli(mu, c):
+    case = WedgeCase(half_angle_a=math.pi, mode=Mode.PLANE_SYM)
+    with pytest.raises(OutOfRange, match=r"outside \(0, inf\)"):
+        validate_case(MaterialParams(nu=0.3, mu=mu, c=c), case)
+
+
 def test_validate_accepts_full_ranges():
     for angle in (math.pi / 2, 2.0, math.pi):
         for mode in Mode:
