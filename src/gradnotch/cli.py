@@ -14,7 +14,10 @@ Angles are accepted in degrees on the command line and converted to
 radians internally once. All numeric output uses 17 significant digits
 ('%.17g') so values round-trip exactly through text. JSON objects use
 sorted keys; CSV uses LF line endings and needs no quoting. '-' as an
-output path means standard output.
+output path means standard output. Text goes out through `_write_text`,
+which takes one string or an iterable of chunks: `field` streams its CSV
+one block of rows at a time and never builds the whole text. An --out
+path that cannot be written is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 check failure.
 """
@@ -52,10 +55,15 @@ _P1_CONSTANT_NAMES = {Mode.PLANE_SYM: "c1,c3", Mode.PLANE_ANTI: "c2",
 
 # bounds on the work one command may ask for: a scan up to p = 100 takes
 # about 1e5 grid points, a sweep of 10001 angles a few seconds, a field
-# grid of 1e6 rows a few hundred megabytes of CSV
+# grid of 1e6 rows a few hundred megabytes of CSV. The CSV is streamed,
+# so a field grid's memory is bounded by its float grid (8 bytes x
+# columns x rows, 160 MB for 1e6 plane rows), not by its text
 _MAX_P = 100.0
 _MAX_SWEEP_ANGLES = 10001
 _MAX_FIELD_ROWS = 1_000_000
+# field rows turned into Python floats and text at once: what the
+# CSV stream holds on top of the float grid
+_FIELD_BLOCK_ROWS = 1024
 # a coarser refinement leaves roots at their scan points, where the face
 # system is too far from singular to give a null vector (from 3e-6 on,
 # some roots are reported with nullity 0)
@@ -115,12 +123,23 @@ def _to_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text) -> None:
+    """Write `text` to `path` ('-' is standard output).
+
+    `text` is one string or an iterable of string chunks, written in
+    order as they are produced. A path that cannot be opened or written
+    raises UsageError naming the path and the reason.
+    """
+    chunks = (text,) if isinstance(text, str) else text
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: "
+                         f"{exc.strerror or exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +306,24 @@ def _field_radii(args) -> tuple:
     return radii
 
 
+def _field_csv(keys, radii, thetas, grid):
+    """The field CSV as chunks: the header, then blocks of rows.
+
+    A block holds at most _FIELD_BLOCK_ROWS rows of one radius. Each row
+    is one `%` of its radius' template, which holds the r text and takes
+    the theta text (formatted once per step) and the row's values.
+    """
+    yield "r,theta," + ",".join(keys) + "\n"
+    theta_text = [_fmt(theta) for theta in thetas.tolist()]
+    values_fmt = ",".join(["%.17g"] * len(keys)) + "\n"
+    for r, values in zip(radii, grid):
+        row_fmt = _fmt(r) + ",%s," + values_fmt
+        for start in range(0, len(thetas), _FIELD_BLOCK_ROWS):
+            stop = start + _FIELD_BLOCK_ROWS
+            yield "".join([row_fmt % (text, *row) for text, row in zip(
+                theta_text[start:stop], values[start:stop].tolist())])
+
+
 def cmd_field(args) -> int:
     mode = _resolve_mode(args.mode)
     half_angle = _check_angle(args.angle_deg)
@@ -327,15 +364,13 @@ def cmd_field(args) -> int:
     field = sol.combined_field(list(amps), include_p1=True)
 
     thetas = np.linspace(-half_angle, half_angle, args.theta_steps)
-    rr = np.repeat(radii, len(thetas))
-    tt = np.tile(thetas, len(radii))
-
     keys = PLANE_FIELD_KEYS if mode.is_plane else ANTIPLANE_FIELD_KEYS
     series = field_series_map(field, material)
-    columns = [rr, tt] + [series[key].eval(rr, tt) for key in keys]
-    lines = ["r,theta," + ",".join(keys)]
-    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    grid = np.empty((len(radii), len(thetas), len(keys)))
+    r_col, theta_row = np.array(radii)[:, None], thetas[None, :]
+    for j, key in enumerate(keys):
+        grid[:, :, j] = series[key].eval(r_col, theta_row)
+    _write_text(args.out, _field_csv(keys, radii, thetas, grid))
     return 0
 
 

@@ -294,7 +294,7 @@ class PolarSeries:
         out = np.zeros(np.broadcast(rr, th).shape)
         for t in self.terms:
             trig = np.cos if t.kind == "cos" else np.sin
-            out = out + t.coef * rr**t.r_exp * trig(t.freq * th)
+            out += t.coef * rr**t.r_exp * trig(t.freq * th)
         return float(out) if out.ndim == 0 else out
 
     def degree(self):

@@ -256,11 +256,18 @@ def test_sweep_single_angle_to_file(capsys, tmp_path):
     assert float(row[5]) == pytest.approx(p - 3.0, abs=1e-15)
 
 
-def test_sweep_usage_errors(capsys):
+def test_sweep_usage_errors(capsys, tmp_path):
     rc, _, err = run(capsys, ["sweep", "--mode", "ap", "--from", "100",
                               "--to", "90"])
     assert rc == 1
     assert "exceeds" in err
+
+    missing = tmp_path / "missing" / "x.csv"
+    rc, out, err = run(capsys, ["sweep", "--mode", "ap", "--from", "90",
+                                "--to", "90", "--out", str(missing)])
+    assert rc == 1 and out == ""
+    assert f"error: cannot write {missing}: " in err
+    assert "Traceback" not in err
 
     rc, _, _ = run(capsys, ["sweep", "--mode", "ap", "--from", "90",
                             "--to", "100", "--step", "0"])
@@ -343,16 +350,9 @@ def test_field_with_p1_adds_linear_part(capsys):
     assert deltas[6] / deltas[1] == pytest.approx(2.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("mode,angle,nu,index,with_p1", [
-    ("ps-sym", "150", "0.3", 1, "0.2,-0.1"),
-    ("ps-sym", "180", "0.3", 2, None),
-    ("ps-anti", "120", "0.25", 2, "0.7"),
-    ("ap", "135", None, 1, "0.4"),
-    ("ap", "180", None, 0, None),
-])
-def test_field_rows_match_pointwise_evaluation(capsys, mode, angle, nu,
-                                               index, with_p1):
-    # the reference evaluates every component point by point
+def _pointwise_field_csv(mode, angle, nu, index, with_p1, radii, steps):
+    """`field` argv and its expected CSV, every value evaluated point by
+    point and formatted with "%.17g"."""
     mode_enum = {"ps-sym": Mode.PLANE_SYM, "ps-anti": Mode.PLANE_ANTI,
                  "ap": Mode.ANTIPLANE_ODD}[mode]
     half_angle = math.radians(float(angle))
@@ -367,26 +367,88 @@ def test_field_rows_match_pointwise_evaluation(capsys, mode, angle, nu,
     series = field_series_map(sol.combined_field(amps, include_p1=True),
                               material)
     keys = PLANE_FIELD_KEYS if mode_enum.is_plane else ANTIPLANE_FIELD_KEYS
+    evals = [series[key].eval for key in keys]
     lines = ["r,theta," + ",".join(keys)]
-    for r in (0.25, 1.0, 3.0):
-        for theta in np.linspace(-half_angle, half_angle, 9):
-            values = [r, theta] + [series[key].eval(r, float(theta))
-                                   for key in keys]
+    for r in radii:
+        for theta in np.linspace(-half_angle, half_angle, steps).tolist():
+            values = [r, theta] + [ev(r, theta) for ev in evals]
             lines.append(",".join("%.17g" % v for v in values))
 
     argv = ["field", "--mode", mode, "--angle-deg", angle,
             "--eig-index", str(index), "--amps", ",".join(map(repr, amps)),
-            "--r", "0.25,1,3", "--theta-steps", "9"]
+            "--r", ",".join(map(repr, radii)), "--theta-steps", str(steps)]
     if nu is not None:
         argv += ["--nu", nu]
     if with_p1 is not None:
         argv += ["--with-p1", with_p1]
+    return argv, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode,angle,nu,index,with_p1", [
+    ("ps-sym", "150", "0.3", 1, "0.2,-0.1"),
+    ("ps-sym", "180", "0.3", 2, None),
+    ("ps-anti", "120", "0.25", 2, "0.7"),
+    ("ap", "135", None, 1, "0.4"),
+    ("ap", "180", None, 0, None),
+])
+def test_field_rows_match_pointwise_evaluation(capsys, mode, angle, nu,
+                                               index, with_p1):
+    argv, expected = _pointwise_field_csv(mode, angle, nu, index, with_p1,
+                                          (0.25, 1.0, 3.0), 9)
     rc, out, _ = run(capsys, argv)
     assert rc == 0
-    assert out == "\n".join(lines) + "\n"
+    assert out == expected
 
 
-def test_field_usage_errors(capsys, monkeypatch):
+@pytest.mark.parametrize("mode,angle,nu,index,with_p1,radii,extra", [
+    # a block and one row more at each of three radii
+    ("ps-sym", "150", "0.3", 1, "0.2,-0.1", (0.25, 1.0, 3.0), 1),
+    # exactly one block on one radius
+    ("ap", "135", None, 1, "0.4", (2.0,), 0),
+])
+def test_field_block_edges_leave_the_rows_unchanged(capsys, tmp_path, mode,
+                                                    angle, nu, index, with_p1,
+                                                    radii, extra):
+    steps = cli._FIELD_BLOCK_ROWS + extra
+    argv, expected = _pointwise_field_csv(mode, angle, nu, index, with_p1,
+                                          radii, steps)
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert out == expected
+
+    out_path = tmp_path / "field.csv"
+    rc, out, _ = run(capsys, argv + ["--out", str(out_path)])
+    assert rc == 0 and out == ""
+    assert out_path.read_bytes() == expected.encode("utf-8")
+
+
+def test_field_out_memory_does_not_grow_with_the_text(capsys, tmp_path):
+    out_path = tmp_path / "field.csv"
+    argv = ["field", "--mode", "ps-sym", "--angle-deg", "150", "--nu", "0.3",
+            "--eig-index", "1", "--amps", "1", "--r", "0.5,1,2,4",
+            "--theta-steps", "10000", "--out", str(out_path)]
+    tracemalloc.start()
+    try:
+        rc, _, _ = run(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # the float grid alone is 40,000 rows x 20 columns x 8 bytes = 6.4 MB;
+    # the text, ~17 MB, is written one block at a time
+    assert peak < out_path.stat().st_size
+
+
+def test_field_usage_errors(capsys, monkeypatch, tmp_path):
+    missing = tmp_path / "missing" / "x.csv"
+    rc, out, err = run(capsys, ["field", "--mode", "ap", "--angle-deg", "180",
+                                "--eig-index", "1", "--amps", "1",
+                                "--r", "1", "--theta-steps", "3",
+                                "--out", str(missing)])
+    assert rc == 1 and out == ""
+    assert f"error: cannot write {missing}: " in err
+    assert "Traceback" not in err
+
     rc, _, err = run(capsys, ["field", "--mode", "ps-sym",
                               "--angle-deg", "180", "--nu", "0.3",
                               "--eig-index", "1", "--amps", "1",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +86,21 @@ def test_product_matches_pointwise(s1, s2, point):
     expected = s1.eval(r, theta) * s2.eval(r, theta)
     tol = 1e-11 * max(_scale(s1) * _scale(s2), 1.0) * max(r, 1 / r)**6
     assert product.eval(r, theta) == pytest.approx(expected, abs=tol)
+
+
+@given(SERIES, st.lists(POINTS, min_size=1, max_size=4),
+       st.lists(POINTS, min_size=1, max_size=9))
+@settings(max_examples=60)
+def test_mesh_eval_matches_flattened_columns_bit_for_bit(s, r_pts, t_pts):
+    # a mesh evaluation takes r**e once per radius and trig once per
+    # theta; the values must be the bits of the repeated/tiled columns
+    radii = np.array([r for r, _ in r_pts])
+    thetas = np.array([theta for _, theta in t_pts])
+    mesh = s.eval(radii[:, None], thetas[None, :])
+    flat = s.eval(np.repeat(radii, len(thetas)),
+                  np.tile(thetas, len(radii)))
+    assert mesh.shape == (len(radii), len(thetas))
+    assert np.array_equal(mesh.ravel(), flat)
 
 
 # ----------------------------------------------------------------------
