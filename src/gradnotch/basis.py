@@ -10,17 +10,19 @@ are its null vectors.
 
 The basis members are written down once, as a term table of
 (coef, r_exp, freq, kind) per member and displacement component
-(_member_terms; the p = 1 constant-strain members likewise); every field
-here is built from such a table. The face-condition system has two
-stages, each over a whole array of exponents: bc_matrix assembles the
-closed-form face operators of fields.face_rows as one stack of matrices
-over every member, and null_space takes the null vectors of a stack of
-systems over the same kept columns with one stacked SVD. bc_det,
-singular_ratio and eigenfield are built on them; eigenfield takes a
-scalar p or a 1-D array of p, like bc_det, and solves an array in one
-pass. The constitutive series pipeline (apply_bc_operators) builds the
-same matrix by an independent route; it serves bc_residual and the tests
-as an oracle.
+(_member_terms; the p = 1 constant-strain members likewise). A solution
+keeps its amplitudes and the table they run over; model.assemble_field
+builds a bracket root's fields from the two on first read, so eigenfield
+builds no series but the p = 1 entry's few. The face-condition system
+has two stages, each over a whole array of exponents: bc_matrix
+assembles the closed-form face operators of fields.face_rows as one
+stack of matrices over every member, and null_space takes the null
+vectors of a stack of systems over the same kept columns with one
+stacked SVD. bc_det, singular_ratio and eigenfield are built on them;
+eigenfield takes a scalar p or a 1-D array of p, like bc_det, and solves
+an array in one pass. The constitutive series pipeline
+(apply_bc_operators) builds the same matrix by an independent route; it
+serves bc_residual and the tests as an oracle.
 
 Degeneracies handled here:
 
@@ -50,8 +52,8 @@ from .model import (
     EigenSolution,
     MaterialParams,
     Mode,
-    PolarSeries,
     WedgeCase,
+    assemble_field,
     validate_case,
 )
 from .fields import dipolar_series, face_rows, total_theta_series
@@ -97,8 +99,8 @@ def _member_terms(mode: Mode, p: float, nu: float | None) -> tuple:
     One entry per member; an entry holds, per displacement component
     ((u_r, u_theta) for plane modes, (w,) for anti-plane), the terms
     (coef, r_exp, freq, kind) of that component. This is the one
-    transcription of the basis: every basis field is built from it.
-    Plane modes require nu.
+    transcription of the basis: every basis field is built from it (by
+    model.assemble_field). Plane modes require nu.
     """
     if mode is Mode.ANTIPLANE_ODD:
         return ((((1.0, p, p, "sin"),),),
@@ -157,20 +159,7 @@ def _kept_terms(mode: Mode, p: float, nu: float | None) -> tuple:
     kept = tuple(j for j, member in enumerate(table)
                  if not (j == 2 and coincides)
                  and any(_survives(t) for comp in member for t in comp))
-    return kept, [table[j] for j in kept]
-
-
-def _combined_field(mode: Mode, members, amps) -> DisplacementField:
-    """The field sum(amps[j] * members[j]) over term-table members, each
-    component built as one series from the scaled terms of every member
-    (the bits combine_fields gives on the members' series)."""
-    series = [PolarSeries(tuple((coef * k, r_exp, freq, kind)
-                                for k, member in zip(amps, members)
-                                for coef, r_exp, freq, kind in member[c]))
-              for c in range(len(members[0]))]
-    if mode.is_plane:
-        return DisplacementField.plane(mode, *series)
-    return DisplacementField.antiplane(*series)
+    return kept, tuple(table[j] for j in kept)
 
 
 def basis_fields(case: WedgeCase, p: float,
@@ -183,7 +172,7 @@ def basis_fields(case: WedgeCase, p: float,
     the others (p within KEY_TOL / 2 of 2 or of 1). Plane modes require nu.
     """
     kept, members = _kept_terms(case.mode, p, nu)
-    return tuple(_combined_field(case.mode, (member,), (1.0,))
+    return tuple(assemble_field(case.mode, (member,), (1.0,))
                  for member in members), kept
 
 
@@ -331,8 +320,9 @@ def eigenfield(case: WedgeCase, material: MaterialParams, p):
     eigenfield exists at p. An array of p returns a list with one entry
     per p, None where the scalar form would raise; it is solved in one
     pass: one face stack over every exponent and one stacked SVD per
-    pattern of kept columns, each field built straight from the member
-    term table. Every entry has the bits of the scalar form.
+    pattern of kept columns; each solution builds its fields from the kept
+    members' term table on first read. Every entry has the bits of the
+    scalar form.
     """
     validate_case(material, case)
     p_arr = np.asarray(p, dtype=float)
@@ -378,9 +368,7 @@ def _eigenfields(case: WedgeCase, material: MaterialParams, ps) -> list:
             amps = tuple(tuple(float(x) for x in v) for v in rows)
             sols[k] = EigenSolution(
                 case=case, material=material, p=p, kind="bracket_root",
-                nullity=len(amps), amplitudes=amps,
-                fields=tuple(_combined_field(mode, members, v)
-                             for v in amps))
+                amplitudes=amps, members=members)
     return sols
 
 
@@ -392,23 +380,29 @@ def special_p1_field(mode: Mode, constants) -> DisplacementField:
     zero dipolar stress, so it satisfies the full equations and the face
     conditions for every wedge angle.
     """
-    vals = tuple(float(x) for x in constants)
     message, members = _P1_MEMBERS[mode]
-    if len(vals) != len(members):
+    if len(constants) != len(members):
         raise ValueError(message)
-    return _combined_field(mode, members, vals)
+    return assemble_field(mode, members, constants)
 
 
 def special_p1_solution(case: WedgeCase,
                         material: MaterialParams) -> EigenSolution:
-    """The p = 1 constant-strain family as an eigensolution."""
+    """The p = 1 constant-strain family as an eigensolution.
+
+    Unlike a bracket root's, its fields are built with it: one field per
+    free constant, one single-term series per component, the same for
+    every wedge. So every eig request builds these few series, the ones
+    perfbench's tracing self-test counts.
+    """
     validate_case(material, case)
-    n = len(_P1_MEMBERS[case.mode][1])
-    units = tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
-    fields = tuple(special_p1_field(case.mode, u) for u in units)
-    return EigenSolution(case=case, material=material, p=1.0,
-                         kind="special_p1", nullity=len(fields),
-                         amplitudes=units, fields=fields)
+    members = _P1_MEMBERS[case.mode][1]
+    units = tuple(tuple(float(i == j) for j in range(len(members)))
+                  for i in range(len(members)))
+    sol = EigenSolution(case=case, material=material, p=1.0,
+                        kind="special_p1", amplitudes=units, members=members)
+    sol.fields  # noqa: B018  (fills the cached property)
+    return sol
 
 
 def solution_from_amplitudes(case: WedgeCase, material: MaterialParams,
@@ -430,15 +424,10 @@ def solution_from_amplitudes(case: WedgeCase, material: MaterialParams,
                 f"{len(members)} at p = {p}")
         amps.append(v)
     return EigenSolution(case=case, material=material, p=p,
-                         kind="bracket_root", nullity=len(amps),
-                         amplitudes=tuple(amps),
-                         fields=tuple(_combined_field(case.mode, members, v)
-                                      for v in amps))
+                         kind="bracket_root", amplitudes=tuple(amps),
+                         members=members)
 
 
 def attach_p1(sol: EigenSolution, constants) -> EigenSolution:
     """Return a copy of sol carrying a constant-strain part."""
-    field = special_p1_field(sol.case.mode, constants)
-    return replace(
-        sol, p1_coefficients=tuple(float(x) for x in constants),
-        p1_field=field)
+    return replace(sol, p1_field=special_p1_field(sol.case.mode, constants))

@@ -17,7 +17,8 @@ sorted keys; CSV uses LF line endings and needs no quoting. '-' as an
 output path means standard output. Text goes out through `_write_text`,
 which takes one string or an iterable of chunks: `field` streams its CSV
 one block of rows at a time and never builds the whole text. An --out
-path that cannot be written is a usage error.
+path that cannot be written is a usage error; one whose directory is
+missing is refused before any solve.
 
 Exit codes: 0 success, 1 usage error, 2 check failure.
 """
@@ -28,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -123,6 +125,16 @@ def _to_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path whose directory is missing, before any work
+    and without creating a file (_write_text catches any other fault)."""
+    try:
+        # a trailing separator makes the stat fail unless on a directory
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_text(path: str, text) -> None:
     """Write `text` to `path` ('-' is standard output).
 
@@ -155,10 +167,6 @@ def _parse_floats(text: str, flag: str) -> tuple:
     if not all(map(math.isfinite, values)):
         raise UsageError(f"{flag} values must be finite, got {text!r}")
     return values
-
-
-def _resolve_mode(label: str) -> Mode:
-    return _MODE_BY_LABEL[label]
 
 
 def _check_angle(angle_deg: float) -> float:
@@ -212,7 +220,7 @@ def _scan_options(args) -> RootScanOptions:
 # ----------------------------------------------------------------------
 
 def cmd_eig(args) -> int:
-    mode = _resolve_mode(args.mode)
+    mode = _MODE_BY_LABEL[args.mode]
     half_angle = _check_angle(args.angle_deg)
     nu = _resolve_nu(args, mode)
     material = _material(args, nu)
@@ -269,9 +277,10 @@ def _sweep_angles(args) -> list:
 
 
 def cmd_sweep(args) -> int:
-    mode = _resolve_mode(args.mode)
+    mode = _MODE_BY_LABEL[args.mode]
     nu = _resolve_nu(args, mode)
     angles = _sweep_angles(args)
+    _check_out(args.out)
     nu_text = "" if args.nu is None else _fmt(args.nu)
 
     try:
@@ -325,7 +334,7 @@ def _field_csv(keys, radii, thetas, grid):
 
 
 def cmd_field(args) -> int:
-    mode = _resolve_mode(args.mode)
+    mode = _MODE_BY_LABEL[args.mode]
     half_angle = _check_angle(args.angle_deg)
     nu = _resolve_nu(args, mode)
     material = _material(args, nu)
@@ -333,6 +342,7 @@ def cmd_field(args) -> int:
     amps = _parse_floats(args.amps, "--amps")
     constants = (None if args.with_p1 is None
                  else _parse_floats(args.with_p1, "--with-p1"))
+    _check_out(args.out)
     case = WedgeCase(half_angle_a=half_angle, mode=mode)
 
     entries = admissible_eigenvalues(case, nu)

@@ -96,7 +96,6 @@ class AdmissibleRoot:
     p: float
     kind: str          # "special_p1" | "bracket_root"
     admissible: bool
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -253,15 +252,9 @@ def admissible_eigenvalues(case: WedgeCase, nu=None,
     field equations, and it carries bounded energy). Every bracket root
     lies above p = 1, so its energy is bounded too.
     """
-    entries = [AdmissibleRoot(p=1.0, kind="special_p1", admissible=True,
-                              reason="constant-strain solution valid for "
-                                     "every wedge angle")]
-    for p in find_roots(case, nu, options):
-        entries.append(AdmissibleRoot(p=p, kind="bracket_root",
-                                      admissible=True,
-                                      reason="bracket root with bounded "
-                                             "energy (p > 1)"))
-    return entries
+    return [AdmissibleRoot(p=1.0, kind="special_p1", admissible=True)] + [
+        AdmissibleRoot(p=p, kind="bracket_root", admissible=True)
+        for p in find_roots(case, nu, options)]
 
 
 def smallest_exponents(case: WedgeCase, nu=None,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -373,22 +374,17 @@ class DisplacementField:
         return max((s.max_abs_coef() for s in self.components()), default=0.0)
 
 
-def combine_fields(coeffs, fields) -> DisplacementField:
-    """The field sum(coeffs[j] * fields[j]) over fields of one mode.
-
-    Each component is built as one series from the scaled terms of every
-    field, so it is put in canonical form once rather than once per
-    scale and per addition.
+def assemble_field(mode: Mode, table, amps) -> DisplacementField:
+    """The field sum(amps[j] * member j) of a term table: one entry per
+    member, holding per displacement component ((u_r, u_theta) or (w,))
+    its terms (coef, r_exp, freq, kind); fields' series terms form one
+    too. Each component is one series of the scaled terms of every
+    member, put in canonical form once, not once per scale and addition.
     """
-    if not fields:
-        raise ValueError("empty amplitude combination")
-    mode = fields[0].mode
-    parts = [float(k) for k in coeffs]
-    series = [
-        PolarSeries(tuple((t.coef * k, t.r_exp, t.freq, t.kind)
-                          for k, comp in zip(parts, comps)
-                          for t in comp.terms))
-        for comps in zip(*(f.components() for f in fields))]
+    series = [PolarSeries(tuple((coef * float(k), r_exp, freq, kind)
+                                for k, member in zip(amps, table)
+                                for coef, r_exp, freq, kind in member[c]))
+              for c in range(2 if mode.is_plane else 1)]
     if mode.is_plane:
         return DisplacementField.plane(mode, *series)
     return DisplacementField.antiplane(*series)
@@ -396,55 +392,64 @@ def combine_fields(coeffs, fields) -> DisplacementField:
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """An admissible wedge eigensolution.
+    """An admissible wedge eigensolution: what the solve produced.
 
     kind is "bracket_root" for solutions at a zero of the characteristic
     bracket (homogeneous of non-trivial degree p) or "special_p1" for the
     constant-strain p = 1 solution that exists for every wedge angle.
 
-    amplitudes holds one coefficient vector per independent solution, in the
-    standard basis-member ordering, each at unit Euclidean norm. A single
+    amplitudes holds one coefficient vector per independent solution
+    (nullity == len(amplitudes)), each at unit Euclidean norm. A single
     vector has its largest-magnitude component positive; two or more are
     the reduced echelon basis of their span (a vector's pivot is its first
     entry above roundoff, pivots move right from vector to vector, each
     pivot entry is positive and the other vectors are zero there), which
-    depends on the span only. The vectors run over the kept basis members
-    (basis.basis_fields): where the plane third member coincides with a
-    combination of the others (p within KEY_TOL / 2 of 2 or of 1) it is
+    depends on the span only. members is the term table (assemble_field)
+    the vectors run over: the kept basis members of a bracket root
+    (basis.basis_fields; where the plane third member coincides with a
+    combination of the others, p within KEY_TOL / 2 of 2 or of 1, it is
     dropped, so plane vectors there have 3 entries, as anti-plane vectors
-    have 1 at p = 2. fields holds the matching assembled
-    displacement fields. For "special_p1" solutions the amplitude vectors
-    are coordinates over the free constants of the special field.
+    have 1 at p = 2), or one constant-strain member per free constant of
+    the special field.
 
-    p1_coefficients/p1_field carry an optional constant-strain part attached
-    to a bracket-root solution (basis.attach_p1).
+    fields, one displacement field per amplitude vector, is built from
+    members on first read and kept. p1_field carries an optional
+    constant-strain part of a bracket-root solution (basis.attach_p1).
     """
 
     case: WedgeCase
     material: MaterialParams
     p: float
     kind: str
-    nullity: int
     amplitudes: tuple
-    fields: tuple
-    p1_coefficients: tuple | None = None
+    members: tuple
     p1_field: DisplacementField | None = None
+
+    @property
+    def nullity(self) -> int:
+        return len(self.amplitudes)
+
+    @cached_property
+    def fields(self) -> tuple:
+        return tuple(assemble_field(self.case.mode, self.members, v)
+                     for v in self.amplitudes)
 
     def combined_field(self, amp, include_p1: bool = True) -> DisplacementField:
         """Resolve an amplitude selector into a displacement field.
 
         amp may be an integer index into fields or a sequence of nullity
-        combination coefficients. The attached p = 1 part, if any, is added
-        unless include_p1 is False.
+        coefficients combining the fields' series. The attached p = 1
+        part, if any, is added unless include_p1 is False.
         """
         if isinstance(amp, (int, np.integer)):
             out = self.fields[amp]
         else:
-            coeffs = [float(x) for x in amp]
-            if len(coeffs) != len(self.fields):
+            coeffs = list(amp)
+            if len(coeffs) != self.nullity:
                 raise ValueError(
-                    f"expected {len(self.fields)} coefficients, got {len(coeffs)}")
-            out = combine_fields(coeffs, self.fields)
+                    f"expected {self.nullity} coefficients, got {len(coeffs)}")
+            out = assemble_field(self.case.mode, [
+                [c.terms for c in f.components()] for f in self.fields], coeffs)
         if include_p1 and self.p1_field is not None:
             out = out + self.p1_field
         return out

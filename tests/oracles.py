@@ -33,8 +33,8 @@ from scipy.integrate import quad
 
 from gradnotch import basis
 from gradnotch.fields import face_rows
-from gradnotch.model import (KEY_TOL, DisplacementField, EigenSolution, Mode,
-                             PolarSeries, combine_fields)
+from gradnotch.model import (KEY_TOL, DisplacementField, Mode, PolarSeries,
+                             assemble_field)
 
 
 # ----------------------------------------------------------------------
@@ -350,12 +350,14 @@ def null_vectors_one_system(matrix, col_scales):
 
 
 def eigenfield_per_root(case, material, p):
-    """Eigenfields at one exponent the per-root way: the kept members'
-    columns of a one-exponent face stack, one SVD, the reduced echelon
-    basis for nullity two or more, and each field combined from the
-    members' series. None where there is no null vector."""
+    """Eigenfields at one exponent the per-root way, as (amplitudes,
+    fields): the kept members' columns of a one-exponent face stack, one
+    SVD, the reduced echelon basis for nullity two or more, and each field
+    combined from the members' literal series. None where there is no
+    null vector."""
     if abs(p - 1.0) <= 1e-12:
-        return basis.special_p1_solution(case, material)
+        sol = basis.special_p1_solution(case, material)
+        return sol.amplitudes, sol.fields
     members, kept = basis_members(case.mode, p, material.nu)
     matrices, scales = basis.bc_matrix(case, np.array([p]), material.nu)
     cols = list(kept)
@@ -367,11 +369,8 @@ def eigenfield_per_root(case, material, p):
     else:
         rows = basis._echelon(np.column_stack(vectors))
     amps = tuple(tuple(float(x) for x in v) for v in rows)
-    return EigenSolution(case=case, material=material, p=p,
-                         kind="bracket_root", nullity=len(amps),
-                         amplitudes=amps,
-                         fields=tuple(combine_fields(v, members)
-                                      for v in amps))
+    terms = [[comp.terms for comp in f.components()] for f in members]
+    return amps, tuple(assemble_field(case.mode, terms, v) for v in amps)
 
 
 # ----------------------------------------------------------------------

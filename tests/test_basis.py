@@ -488,14 +488,19 @@ def _field_bits(field):
                  for comp in field.components())
 
 
+def _solved_bits(amplitudes, fields):
+    """Amplitude vectors and every field term, floats as hex."""
+    return (tuple(tuple(float(x).hex() for x in v) for v in amplitudes),
+            tuple(map(_field_bits, fields)))
+
+
 def _bits(sol):
-    """Everything an eigensolution reports, floats as hex: nullity,
-    amplitudes and every field term (None for no eigenfield)."""
+    """Everything an eigensolution reports, floats as hex: kind, p,
+    nullity, amplitudes and every field term (None for no eigenfield)."""
     if sol is None:
         return None
-    amps = tuple(tuple(float(x).hex() for x in v) for v in sol.amplitudes)
-    return (sol.kind, float(sol.p).hex(), sol.nullity, amps,
-            tuple(map(_field_bits, sol.fields)))
+    return (sol.kind, float(sol.p).hex(), sol.nullity,
+            _solved_bits(sol.amplitudes, sol.fields))
 
 
 _EDGE_ANGLES = (90.0, 90.0001, 135.0, 179.9999, 180.0)
@@ -528,7 +533,13 @@ def test_array_eigenfield_matches_per_root_route_bit_for_bit():
                 for p, sol in zip(ps, sols):
                     label = f"{mode.value} {angle} nu={nu!r} p={p!r}"
                     want = oracles.eigenfield_per_root(case, material, p)
-                    assert _bits(sol) == _bits(want), label
+                    assert (sol is None) == (want is None), label
+                    if sol is not None:
+                        assert sol.kind == ("special_p1" if p == 1.0
+                                            else "bracket_root"), label
+                        assert sol.p == p, label
+                        assert _solved_bits(sol.amplitudes, sol.fields) \
+                            == _solved_bits(*want), label
                     empty += sol is None
                     compared += 1
     assert compared > 1000 and empty >= 60 and mixed == cases == 55
@@ -576,7 +587,7 @@ def test_term_table_and_kept_predicate_reproduce_the_literal_members(mode):
             # every member of the table, the dropped ones included
             every, _ = oracles.basis_members(mode, p, nu, keep_zero=True)
             table = basis._member_terms(mode, p, nu)
-            assert [_field_bits(basis._combined_field(mode, (m,), (1.0,)))
+            assert [_field_bits(model.assemble_field(mode, (m,), (1.0,)))
                     for m in table] == list(map(_field_bits, every)), label
             seen.add(kept)
     # next to p = 1 the plane member with frequency p - 1 in its sin

@@ -131,8 +131,10 @@ def test_eig_usage_errors(capsys):
     ["--mode", "ap", "--angle-deg", "179.9999", "--p-max", "12"],
 ])
 def test_eig_request_is_one_batched_pass(capsys, monkeypatch, argv):
-    # one eigenfield call over every root, one face-matrix stack, and at
-    # most two series per reported null vector beyond the p = 1 entry's
+    # one eigenfield call over every root, one face-matrix stack, and no
+    # bracket-root series: eig reports amplitudes, which need no field; only
+    # the p = 1 entry's constant-strain fields (one series per member and
+    # component) are built with their solution
     calls = {"eigenfield": 0, "bc_matrix": 0, "series": 0}
 
     def counted(name, fn):
@@ -147,18 +149,13 @@ def test_eig_request_is_one_batched_pass(capsys, monkeypatch, argv):
                         counted("bc_matrix", basis.bc_matrix))
     monkeypatch.setattr(PolarSeries, "__post_init__",
                         counted("series", PolarSeries.__post_init__))
-    mode = cli._MODE_BY_LABEL[argv[1]]
-    basis.special_p1_solution(WedgeCase(half_angle_a=math.pi, mode=mode),
-                              MaterialParams(nu=0.3))
-    p1_series = calls["series"]
-    calls["series"] = 0
     rc, out, _ = run(capsys, ["eig", *argv])
     assert rc == 0
     assert calls["eigenfield"] == 1 and calls["bc_matrix"] == 1
     roots = json.loads(out)["roots"]
-    null_vectors = sum(r["nullity"] for r in roots[1:])
-    assert null_vectors >= len(roots) - 2
-    assert calls["series"] <= 2 * null_vectors + p1_series
+    assert sum(r["nullity"] for r in roots[1:]) >= len(roots) - 2
+    p1_members = basis._P1_MEMBERS[cli._MODE_BY_LABEL[argv[1]]][1]
+    assert calls["series"] == len(p1_members) * len(p1_members[0])
 
 
 def test_parser_is_built_once_per_process(capsys):
@@ -256,18 +253,25 @@ def test_sweep_single_angle_to_file(capsys, tmp_path):
     assert float(row[5]) == pytest.approx(p - 3.0, abs=1e-15)
 
 
-def test_sweep_usage_errors(capsys, tmp_path):
+def test_sweep_usage_errors(capsys, monkeypatch, tmp_path):
     rc, _, err = run(capsys, ["sweep", "--mode", "ap", "--from", "100",
                               "--to", "90"])
     assert rc == 1
     assert "exceeds" in err
 
-    missing = tmp_path / "missing" / "x.csv"
-    rc, out, err = run(capsys, ["sweep", "--mode", "ap", "--from", "90",
-                                "--to", "90", "--out", str(missing)])
-    assert rc == 1 and out == ""
-    assert f"error: cannot write {missing}: " in err
-    assert "Traceback" not in err
+    # an --out in a missing directory is refused before any solve, and
+    # leaves no file behind
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "smallest_exponents", _no_work)
+        for missing in (tmp_path / "missing" / "x.csv",
+                        tmp_path / "missing" / "deeper" / "x.csv"):
+            rc, out, err = run(capsys, ["sweep", "--mode", "ap",
+                                        "--from", "90", "--to", "180",
+                                        "--out", str(missing)])
+            assert rc == 1 and out == ""
+            assert err == (f"error: cannot write {missing}: "
+                           f"No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
 
     rc, _, _ = run(capsys, ["sweep", "--mode", "ap", "--from", "90",
                             "--to", "100", "--step", "0"])
@@ -440,14 +444,25 @@ def test_field_out_memory_does_not_grow_with_the_text(capsys, tmp_path):
 
 
 def test_field_usage_errors(capsys, monkeypatch, tmp_path):
-    missing = tmp_path / "missing" / "x.csv"
-    rc, out, err = run(capsys, ["field", "--mode", "ap", "--angle-deg", "180",
-                                "--eig-index", "1", "--amps", "1",
-                                "--r", "1", "--theta-steps", "3",
-                                "--out", str(missing)])
-    assert rc == 1 and out == ""
-    assert f"error: cannot write {missing}: " in err
-    assert "Traceback" not in err
+    # an --out in a missing directory, or under a file, is refused before
+    # any solve, and leaves no file behind
+    plain = tmp_path / "plain"
+    plain.write_text("kept")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "admissible_eigenvalues", _no_work)
+        patch.setattr(cli, "eigenfield", _no_work)
+        for missing, reason in (
+                (tmp_path / "missing" / "x.csv", "No such file or directory"),
+                (plain / "x.csv", "Not a directory")):
+            rc, out, err = run(capsys, ["field", "--mode", "ap",
+                                        "--angle-deg", "180",
+                                        "--eig-index", "1", "--amps", "1",
+                                        "--r", "1", "--theta-steps", "3",
+                                        "--out", str(missing)])
+            assert rc == 1 and out == ""
+            assert err == f"error: cannot write {missing}: {reason}\n"
+    assert list(tmp_path.iterdir()) == [plain]
+    assert plain.read_text() == "kept"
 
     rc, _, err = run(capsys, ["field", "--mode", "ps-sym",
                               "--angle-deg", "180", "--nu", "0.3",

@@ -6,10 +6,10 @@ import math
 
 import pytest
 
-from gradnotch.basis import basis_fields, eigenfield
+from gradnotch.basis import attach_p1, basis_fields, eigenfield
 from gradnotch.model import (DisplacementField, MaterialParams, Mode,
                              OutOfRange, PolarSeries, WedgeCase,
-                             combine_fields, validate_case)
+                             assemble_field, validate_case)
 
 
 def test_lame_constant_from_shear_and_poisson():
@@ -98,19 +98,43 @@ def test_combined_field_rejects_wrong_coefficient_count():
         sol.combined_field([1.0, 2.0], include_p1=False)
 
 
-def test_combine_fields_equals_scaling_and_adding_one_by_one():
+def _terms(fields):
+    return [[comp.terms for comp in f.components()] for f in fields]
+
+
+def test_assemble_field_equals_scaling_and_adding_one_by_one():
     # one canonical pass over all scaled terms gives the same series as
     # scaling each member and adding the results in turn
     for mode, p in [(Mode.PLANE_SYM, 1.5), (Mode.PLANE_SYM, 2.0),
                     (Mode.PLANE_ANTI, 2.7), (Mode.ANTIPLANE_ODD, 1.5)]:
         members, _ = basis_fields(WedgeCase(2.5, mode), p, 0.3)
         coeffs = [0.3, -1.7, 0.25, 1.1][:len(members)]
-        combined = combine_fields(coeffs, members)
+        combined = assemble_field(mode, _terms(members), coeffs)
         assert combined.mode is mode
         for i, comp in enumerate(combined.components()):
             want = PolarSeries.zero()
             for k, member in zip(coeffs, members):
                 want = want + member.components()[i].scaled(k)
             assert comp.terms == want.terms
-    with pytest.raises(ValueError):
-        combine_fields([], ())
+    # no member is the zero field of the mode
+    for mode in Mode:
+        empty = assemble_field(mode, (), ())
+        assert empty.mode is mode and empty.is_zero
+
+
+def test_fields_are_built_once_and_survive_attach_p1():
+    case = WedgeCase(half_angle_a=math.pi, mode=Mode.PLANE_SYM)
+    sol = eigenfield(case, MaterialParams(nu=0.3), 1.5)
+    assert "fields" not in vars(sol)
+    fields = sol.fields
+    assert sol.fields is fields
+    assert sol.nullity == len(sol.amplitudes) == len(fields) == 2
+    with_p1 = attach_p1(sol, (0.4, -0.2))
+    assert sol.p1_field is None
+    assert with_p1.p1_field == DisplacementField.plane(
+        Mode.PLANE_SYM, PolarSeries.single(0.4, 1.0, 0.0, "cos")
+        + PolarSeries.single(-0.2, 1.0, 2.0, "cos"),
+        PolarSeries.single(0.2, 1.0, 2.0, "sin"))
+    assert with_p1.amplitudes == sol.amplitudes
+    assert [[c.terms for c in f.components()] for f in with_p1.fields] \
+        == _terms(fields)
