@@ -56,7 +56,7 @@ from .model import (
     assemble_field,
     validate_case,
 )
-from .fields import dipolar_series, face_rows, total_theta_series
+from .fields import _total_theta, dipolar_series, face_rows
 
 __all__ = [
     "EmptyNullSpace",
@@ -128,12 +128,14 @@ def _member_terms(mode: Mode, p: float, nu: float | None) -> tuple:
 # the constant-strain (p = 1) members of each class as a term table (one
 # member per free constant), with the message for a wrong constant count
 _P1_MEMBERS = {
-    Mode.PLANE_SYM: ("symmetric plane constants are (C1, C3)", (
+    Mode.PLANE_SYM: ("the symmetric plane class takes 2 constants "
+                     "(C1, C3)", (
         (((1.0, 1.0, 0.0, "cos"),), ()),
         (((1.0, 1.0, 2.0, "cos"),), ((-1.0, 1.0, 2.0, "sin"),)))),
-    Mode.PLANE_ANTI: ("antisymmetric plane constant is (C2,)", (
+    Mode.PLANE_ANTI: ("the antisymmetric plane class takes 1 constant "
+                      "(C2)", (
         (((1.0, 1.0, 2.0, "sin"),), ((1.0, 1.0, 2.0, "cos"),)),)),
-    Mode.ANTIPLANE_ODD: ("anti-plane constant is (E,)", (
+    Mode.ANTIPLANE_ODD: ("the anti-plane class takes 1 constant (E)", (
         (((1.0, 1.0, 1.0, "sin"),),),)),
 }
 
@@ -187,7 +189,7 @@ def apply_bc_operators(field: DisplacementField, nu: float) -> tuple:
     """
     material = MaterialParams(nu=nu, mu=_BC_MATERIAL_MU, c=_BC_MATERIAL_C)
     m = dipolar_series(field, material)
-    t = total_theta_series(field, material)
+    t = _total_theta(m)
     if field.mode.is_plane:
         return (t["t_tr"].times_r_power(3), t["t_tt"].times_r_power(3),
                 m["m_ttr"], m["m_ttt"])

@@ -18,7 +18,7 @@ output path means standard output. Text goes out through `_write_text`,
 which takes one string or an iterable of chunks: `field` streams its CSV
 one block of rows at a time and never builds the whole text. An --out
 path that cannot be written is a usage error; one whose directory is
-missing is refused before any solve.
+missing, or that names a directory, is refused before any solve.
 
 Exit codes: 0 success, 1 usage error, 2 check failure.
 """
@@ -49,11 +49,6 @@ _MODE_BY_LABEL = {
     "ps-anti": Mode.PLANE_ANTI,
     "ap": Mode.ANTIPLANE_ODD,
 }
-
-_P1_CONSTANT_COUNT = {Mode.PLANE_SYM: 2, Mode.PLANE_ANTI: 1,
-                      Mode.ANTIPLANE_ODD: 1}
-_P1_CONSTANT_NAMES = {Mode.PLANE_SYM: "c1,c3", Mode.PLANE_ANTI: "c2",
-                      Mode.ANTIPLANE_ODD: "e"}
 
 # bounds on the work one command may ask for: a scan up to p = 100 takes
 # about 1e5 grid points, a sweep of 10001 angles a few seconds, a field
@@ -126,13 +121,16 @@ def _to_json(obj) -> str:
 
 
 def _check_out(path: str) -> None:
-    """Refuse an --out path whose directory is missing, before any work
-    and without creating a file (_write_text catches any other fault)."""
+    """Refuse an --out path whose directory is missing or that names a
+    directory, before any work and without creating a file (_write_text
+    catches any other fault)."""
     try:
         # a trailing separator makes the stat fail unless on a directory
         os.stat(os.path.join(os.path.dirname(path) or ".", ""))
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+    if path != "-" and os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: Is a directory")
 
 
 def _write_text(path: str, text) -> None:
@@ -365,12 +363,11 @@ def cmd_field(args) -> int:
             raise UsageError("--with-p1 cannot be combined with the p = 1 "
                              "entry; its amplitudes already are the "
                              "constant-strain coefficients")
-        expected = _P1_CONSTANT_COUNT[mode]
-        if len(constants) != expected:
-            raise UsageError(f"--with-p1 expects {expected} constant(s) "
-                             f"({_P1_CONSTANT_NAMES[mode]}) for mode "
-                             f"{args.mode}, got {len(constants)}")
-        sol = attach_p1(sol, constants)
+        try:
+            sol = attach_p1(sol, constants)
+        except ValueError as exc:
+            msg = f"--with-p1: {exc}, got {len(constants)}"
+            raise UsageError(msg) from exc
     field = sol.combined_field(list(amps), include_p1=True)
 
     thetas = np.linspace(-half_angle, half_angle, args.theta_steps)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DisplacementField, MaterialParams, PolarSeries
-from .fields import dipolar_series, total_r_series
+from .fields import _total_r, dipolar_series
 
 __all__ = [
     "QuadratureDisagreement",
@@ -151,8 +151,8 @@ def resultant_on_arc(field: DisplacementField, material: MaterialParams,
     """
     _require_plane(field)
     a = half_angle_a
-    t_arc = total_r_series(field, material)
     m = dipolar_series(field, material)
+    t_arc = _total_r(m)
     cos1 = PolarSeries.single(1.0, 0.0, 1.0, "cos")
     sin1 = PolarSeries.single(1.0, 0.0, 1.0, "sin")
     t_x = t_arc["t_rr"] * cos1 - t_arc["t_rt"] * sin1
@@ -177,8 +177,7 @@ def resultant_on_arc(field: DisplacementField, material: MaterialParams,
 
 
 def check_equilibrium(field: DisplacementField, material: MaterialParams,
-                      r0: float, half_angle_a: float,
-                      tol: float = EQUILIBRIUM_TOL) -> EquilibriumReport:
+                      r0: float, half_angle_a: float) -> EquilibriumReport:
     """Force and moment balance of the sector r <= r0.
 
     The faces carry no leading tractions for an eigenfield, so balance
@@ -190,7 +189,8 @@ def check_equilibrium(field: DisplacementField, material: MaterialParams,
 
     Residuals are measured against the natural magnitude of the
     participating resultants; the moment residual carries a 1/r0 factor
-    so all three are commensurate.
+    so all three are commensurate. Each must lie within EQUILIBRIUM_TOL
+    of that scale.
     """
     arc = resultant_on_arc(field, material, r0, half_angle_a)
     corners = edge_forces(field, material, r0, half_angle_a)
@@ -202,8 +202,8 @@ def check_equilibrium(field: DisplacementField, material: MaterialParams,
              + math.hypot(corners.e_r_b, corners.e_t_b))
     scale = max(scale, 1e-300)
     residuals = (abs(sum_fx), abs(sum_fy), abs(sum_moment) / r0)
-    passed = all(res <= tol * scale for res in residuals)
+    passed = all(res <= EQUILIBRIUM_TOL * scale for res in residuals)
     return EquilibriumReport(
         r0=r0, half_angle_a=half_angle_a, arc=arc, corners=corners,
         sum_fx=sum_fx, sum_fy=sum_fy, sum_moment=sum_moment,
-        scale=scale, tol=tol, residuals=residuals, passed=passed)
+        scale=scale, tol=EQUILIBRIUM_TOL, residuals=residuals, passed=passed)

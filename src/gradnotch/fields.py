@@ -1,11 +1,14 @@
 """Field quantities derived from a displacement field.
 
-The constitutive pipeline runs entirely on exact series: strains from the
-polar strain-displacement relations, monopolar stresses from the isotropic
-law, dipolar stresses as the gradient coefficient times the gradient of the
-monopolar stress, leading total tractions from the divergence combinations
-of the dipolar stress, and the positive-definite energy density from the
-quadratic form in strain and strain gradient.
+The constitutive pipeline runs on exact series as one chain, each stage
+a function of the one before: strains eps (strain_series), monopolar
+stresses tau from the isotropic law (_monopolar), dipolar stresses
+m = c grad(tau) (_dipolar), leading total tractions on faces and arcs
+from the divergence of m (_total_theta, _total_r), and the energy
+density W, a positive-definite quadratic form in eps and grad(eps)
+(_energy_density); _polar_gradient is the one polar gradient both m and
+W use. A public (field, material) function runs the chain up to its own
+stage; field_series_map runs it once, building each stage once.
 
 The exposed total tractions are the leading (gradient) part — the dominant
 near-tip contribution, two powers of r more singular than the monopolar
@@ -67,11 +70,26 @@ def strain_series(field: DisplacementField) -> dict:
             "eps_tz": w.dtheta().div_r().scaled(0.5)}
 
 
-def monopolar_series(field: DisplacementField, material: MaterialParams) -> dict:
-    """Monopolar (Cauchy-like) stresses from the isotropic law."""
-    eps = strain_series(field)
+def _polar_gradient(*comps) -> tuple:
+    """Polar components g_kij (k the derivative direction) of the gradient
+    of a symmetric tensor a: (a_rr, a_tt, a_rt) gives (g_rrr, g_rrt,
+    g_rtt, g_trr, g_ttr, g_ttt), (a_rz, a_tz) gives (g_rrz, g_rtz, g_trz,
+    g_ttz)."""
+    if len(comps) == 3:
+        a_rr, a_tt, a_rt = comps
+        return (a_rr.dr(), a_rt.dr(), a_tt.dr(),
+                (a_rr.dtheta() - a_rt.scaled(2.0)).div_r(),
+                (a_rt.dtheta() + a_rr - a_tt).div_r(),
+                (a_tt.dtheta() + a_rt.scaled(2.0)).div_r())
+    a_rz, a_tz = comps
+    return (a_rz.dr(), a_tz.dr(), (a_rz.dtheta() - a_tz).div_r(),
+            (a_tz.dtheta() + a_rz).div_r())
+
+
+def _monopolar(eps: dict, material: MaterialParams) -> dict:
+    """tau = lam tr(eps) I + 2 mu eps."""
     mu, lam = material.mu, material.lam
-    if field.mode.is_plane:
+    if "eps_rr" in eps:
         trace = eps["eps_rr"] + eps["eps_tt"]
         return {
             "tau_rr": trace.scaled(lam) + eps["eps_rr"].scaled(2.0 * mu),
@@ -83,33 +101,20 @@ def monopolar_series(field: DisplacementField, material: MaterialParams) -> dict
             "tau_tz": eps["eps_tz"].scaled(2.0 * mu)}
 
 
-def dipolar_series(field: DisplacementField, material: MaterialParams) -> dict:
-    """Dipolar stresses m = c * grad(tau) in polar components."""
-    tau = monopolar_series(field, material)
-    c = material.c
-    if field.mode.is_plane:
-        t_rr, t_tt, t_rt = tau["tau_rr"], tau["tau_tt"], tau["tau_rt"]
-        return {
-            "m_rrr": t_rr.dr().scaled(c),
-            "m_rrt": t_rt.dr().scaled(c),
-            "m_rtt": t_tt.dr().scaled(c),
-            "m_trr": (t_rr.dtheta() - t_rt.scaled(2.0)).div_r().scaled(c),
-            "m_ttr": (t_rt.dtheta() + t_rr - t_tt).div_r().scaled(c),
-            "m_ttt": (t_tt.dtheta() + t_rt.scaled(2.0)).div_r().scaled(c),
-        }
-    t_rz, t_tz = tau["tau_rz"], tau["tau_tz"]
-    return {
-        "m_rrz": t_rz.dr().scaled(c),
-        "m_rtz": t_tz.dr().scaled(c),
-        "m_trz": (t_rz.dtheta() - t_tz).div_r().scaled(c),
-        "m_ttz": (t_tz.dtheta() + t_rz).div_r().scaled(c),
-    }
+def _dipolar(tau: dict, c: float) -> dict:
+    """m = c grad(tau)."""
+    if "tau_rr" in tau:
+        keys = ("m_rrr", "m_rrt", "m_rtt", "m_trr", "m_ttr", "m_ttt")
+        grad = _polar_gradient(tau["tau_rr"], tau["tau_tt"], tau["tau_rt"])
+    else:
+        keys = ("m_rrz", "m_rtz", "m_trz", "m_ttz")
+        grad = _polar_gradient(tau["tau_rz"], tau["tau_tz"])
+    return {key: g.scaled(c) for key, g in zip(keys, grad)}
 
 
-def total_theta_series(field: DisplacementField, material: MaterialParams) -> dict:
-    """Leading total tractions on theta = const faces."""
-    m = dipolar_series(field, material)
-    if field.mode.is_plane:
+def _total_theta(m: dict) -> dict:
+    """Leading total tractions on theta = const faces, from m."""
+    if "m_rrr" in m:
         mix = m["m_trr"] + m["m_rrt"]
         t_tr = -(mix.dr() + m["m_ttr"].dtheta().div_r() + mix.div_r()
                  - m["m_ttt"].div_r())
@@ -121,11 +126,8 @@ def total_theta_series(field: DisplacementField, material: MaterialParams) -> di
     return {"t_tz": t_tz}
 
 
-def total_r_series(field: DisplacementField, material: MaterialParams) -> dict:
-    """Leading total tractions on r = const arcs (plane modes only)."""
-    if not field.mode.is_plane:
-        raise ValueError("arc total tractions are provided for plane modes only")
-    m = dipolar_series(field, material)
+def _total_r(m: dict) -> dict:
+    """Leading total tractions on r = const arcs, from plane m."""
     mix = m["m_trr"] + m["m_rrt"]
     t_rr = -(m["m_rrr"].dr() + mix.dtheta().div_r() + m["m_rrr"].div_r()
              - m["m_ttr"].div_r().scaled(2.0) - m["m_rtt"].div_r())
@@ -135,12 +137,10 @@ def total_r_series(field: DisplacementField, material: MaterialParams) -> dict:
     return {"t_rr": t_rr, "t_rt": t_rt}
 
 
-def energy_density_series(field: DisplacementField,
-                          material: MaterialParams) -> PolarSeries:
-    """Strain-energy density as an exact series (positive definite)."""
-    eps = strain_series(field)
+def _energy_density(eps: dict, material: MaterialParams) -> PolarSeries:
+    """W from the strain and its gradient."""
     mu, lam, c = material.mu, material.lam, material.c
-    if field.mode.is_plane:
+    if "eps_rr" in eps:
         e_rr, e_tt, e_rt = eps["eps_rr"], eps["eps_tt"], eps["eps_rt"]
         trace = e_rr + e_tt
         w = (trace * trace).scaled(0.5 * lam)
@@ -148,23 +148,44 @@ def energy_density_series(field: DisplacementField,
         tr_r = trace.dr()
         tr_t = trace.dtheta().div_r()
         w = w + (tr_r * tr_r + tr_t * tr_t).scaled(0.5 * lam * c)
-        g_rrr = e_rr.dr()
-        g_rrt = e_rt.dr()
-        g_rtt = e_tt.dr()
-        g_trr = (e_rr.dtheta() - e_rt.scaled(2.0)).div_r()
-        g_trt = (e_rt.dtheta() + e_rr - e_tt).div_r()
-        g_ttt = (e_tt.dtheta() + e_rt.scaled(2.0)).div_r()
+        g_rrr, g_rrt, g_rtt, g_trr, g_trt, g_ttt = _polar_gradient(
+            e_rr, e_tt, e_rt)
         grad2 = (g_rrr * g_rrr + g_rtt * g_rtt + (g_rrt * g_rrt).scaled(2.0)
                  + g_trr * g_trr + g_ttt * g_ttt + (g_trt * g_trt).scaled(2.0))
         return w + grad2.scaled(mu * c)
     e_rz, e_tz = eps["eps_rz"], eps["eps_tz"]
     w = (e_rz * e_rz + e_tz * e_tz).scaled(2.0 * mu)
-    g_rrz = e_rz.dr()
-    g_rtz = e_tz.dr()
-    g_trz = (e_rz.dtheta() - e_tz).div_r()
-    g_ttz = (e_tz.dtheta() + e_rz).div_r()
+    g_rrz, g_rtz, g_trz, g_ttz = _polar_gradient(e_rz, e_tz)
     grad2 = g_rrz * g_rrz + g_rtz * g_rtz + g_trz * g_trz + g_ttz * g_ttz
     return w + grad2.scaled(2.0 * mu * c)
+
+
+def monopolar_series(field: DisplacementField, material: MaterialParams) -> dict:
+    """Monopolar (Cauchy-like) stresses from the isotropic law."""
+    return _monopolar(strain_series(field), material)
+
+
+def dipolar_series(field: DisplacementField, material: MaterialParams) -> dict:
+    """Dipolar stresses m = c * grad(tau) in polar components."""
+    return _dipolar(monopolar_series(field, material), material.c)
+
+
+def total_theta_series(field: DisplacementField, material: MaterialParams) -> dict:
+    """Leading total tractions on theta = const faces."""
+    return _total_theta(dipolar_series(field, material))
+
+
+def total_r_series(field: DisplacementField, material: MaterialParams) -> dict:
+    """Leading total tractions on r = const arcs (plane modes only)."""
+    if not field.mode.is_plane:
+        raise ValueError("arc total tractions are provided for plane modes only")
+    return _total_r(dipolar_series(field, material))
+
+
+def energy_density_series(field: DisplacementField,
+                          material: MaterialParams) -> PolarSeries:
+    """Strain-energy density as an exact series (positive definite)."""
+    return _energy_density(strain_series(field), material)
 
 
 # CSV ordering of derived components per mode
@@ -187,20 +208,17 @@ ANTIPLANE_FIELD_KEYS = (
 
 
 def field_series_map(field: DisplacementField, material: MaterialParams) -> dict:
-    """Every derived component (plus displacement and energy) as series."""
-    out = {}
+    """Every derived component (plus displacement and energy) as series,
+    each stage built once."""
+    eps = strain_series(field)
+    tau = _monopolar(eps, material)
+    m = _dipolar(tau, material.c)
     if field.mode.is_plane:
-        out["u_r"] = field.u_r
-        out["u_t"] = field.u_theta
+        out = {"u_r": field.u_r, "u_t": field.u_theta,
+               **eps, **tau, **m, **_total_theta(m), **_total_r(m)}
     else:
-        out["w"] = field.w
-    out.update(strain_series(field))
-    out.update(monopolar_series(field, material))
-    out.update(dipolar_series(field, material))
-    out.update(total_theta_series(field, material))
-    if field.mode.is_plane:
-        out.update(total_r_series(field, material))
-    out["W"] = energy_density_series(field, material)
+        out = {"w": field.w, **eps, **tau, **m, **_total_theta(m)}
+    out["W"] = _energy_density(eps, material)
     return out
 
 

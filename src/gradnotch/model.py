@@ -197,10 +197,6 @@ class PolarSeries:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "PolarSeries":
-        return cls(())
-
-    @classmethod
     def single(cls, coef, r_exp, freq, kind) -> "PolarSeries":
         return cls(((coef, r_exp, freq, kind),))
 
@@ -355,23 +351,9 @@ class DisplacementField:
                                  self.u_theta + other.u_theta,
                                  self.w + other.w)
 
-    def degree(self):
-        """Common homogeneity degree across nonzero components, else None."""
-        degs = [s.degree() for s in self.components() if not s.is_zero]
-        if not degs:
-            return None
-        if any(d is None for d in degs):
-            return None
-        if max(degs) - min(degs) <= KEY_TOL:
-            return degs[0]
-        return None
-
     @property
     def is_zero(self) -> bool:
         return all(s.is_zero for s in self.components())
-
-    def max_abs_coef(self) -> float:
-        return max((s.max_abs_coef() for s in self.components()), default=0.0)
 
 
 def assemble_field(mode: Mode, table, amps) -> DisplacementField:

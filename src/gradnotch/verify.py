@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_DET_P_LO, _DET_P_HI, _DET_N_GRID = 1.001, 4.0, 601  # det_vs_charfn's grid
+_ENERGY_R_HI = 1e-4  # energy_scaling's outer radius
 
 
 class DivergentEnergy(Exception):
@@ -161,9 +163,7 @@ class DetCharReport:
     passed: bool
 
 
-def det_vs_charfn(case: WedgeCase, nu: float | None = None,
-                  p_lo: float = 1.001, p_hi: float = 4.0,
-                  n_grid: int = 601) -> DetCharReport:
+def det_vs_charfn(case: WedgeCase, nu: float | None = None) -> DetCharReport:
     """Check that the face-system determinant vanishes exactly where the
     characteristic function does, and nowhere else.
 
@@ -177,18 +177,18 @@ def det_vs_charfn(case: WedgeCase, nu: float | None = None,
     # assembly still wants a concrete material, so substitute any value
     nu_det = 0.0 if nu is None else nu
 
-    grid = np.linspace(p_lo, p_hi, n_grid)
+    grid = np.linspace(_DET_P_LO, _DET_P_HI, _DET_N_GRID)
     det = _basis.bc_det(case, grid, nu_det)
 
     roots = [1.0, 2.0]
     roots += [r for r in find_roots(
-        case, nu=nu, options=RootScanOptions(p_max=p_hi))]
+        case, nu=nu, options=RootScanOptions(p_max=_DET_P_HI))]
     roots = sorted(roots)
 
     exclude = list(roots)
     if case.mode.is_plane:
         pole = 7.0 - 8.0 * nu
-        if p_lo - 0.2 < pole < p_hi + 0.2:
+        if _DET_P_LO - 0.2 < pole < _DET_P_HI + 0.2:
             exclude.append(pole)
 
     def window_max(p: float, half: float = 0.15) -> float:
@@ -196,7 +196,7 @@ def det_vs_charfn(case: WedgeCase, nu: float | None = None,
         return float(np.max(np.abs(det[mask]))) if mask.any() else 0.0
 
     max_root_ratio = 0.0
-    in_range = [root for root in roots if p_lo <= root <= p_hi]
+    in_range = [root for root in roots if _DET_P_LO <= root <= _DET_P_HI]
     root_det = _basis.bc_det(case, np.array(in_range), nu_det)
     for root, val in zip(in_range, np.abs(root_det)):
         ref = max(window_max(root), _TINY)
@@ -224,13 +224,14 @@ class EnergyScaling:
     u_lo: float
 
 
-def energy_scaling(sol: EigenSolution, amp=0,
-                   r_hi: float = 1e-4) -> EnergyScaling:
-    """Scaling exponent of the sector strain energy of an eigenfield.
+def energy_scaling(sol: EigenSolution) -> EnergyScaling:
+    """Scaling exponent of the sector strain energy of the first
+    eigenfield of sol (its attached p = 1 part left out).
 
     The exact exponent comes from the dominant term of the integrated
-    density; the estimate from evaluating the energy at two radii. A
-    degree-p eigenfield scales as r^(2p-2) (the gradient term dominates).
+    density; the estimate from evaluating the energy at _ENERGY_R_HI and
+    half of it. A degree-p eigenfield scales as r^(2p-2) (the gradient
+    term dominates).
     Raises DivergentEnergy when the tip integral does not exist, and
     ValueError for the constant-strain family, whose density has no
     gradient part."""
@@ -239,8 +240,7 @@ def energy_scaling(sol: EigenSolution, amp=0,
             "the constant-strain family has constant density; its sector "
             "energy scales as the sector area, not as a gradient-dominated "
             "power")
-    field = sol.combined_field(amp, include_p1=False)
-    density = _fields.energy_density_series(field, sol.material)
+    density = _fields.energy_density_series(sol.fields[0], sol.material)
     if density.is_zero:
         raise ValueError("zero field has no energy scaling")
     min_deg = min(t.r_exp for t in density.terms)
@@ -257,7 +257,7 @@ def energy_scaling(sol: EigenSolution, amp=0,
         return total
 
     exact = min(t.r_exp for t in angular.terms) + 2.0
-    u_hi, u_lo = u_of(r_hi), u_of(r_hi / 2.0)
+    u_hi, u_lo = u_of(_ENERGY_R_HI), u_of(_ENERGY_R_HI / 2.0)
     estimate = math.log(u_hi / u_lo) / math.log(2.0)
     return EnergyScaling(exponent_exact=exact, exponent_estimate=estimate,
                          u_hi=u_hi, u_lo=u_lo)
@@ -419,9 +419,9 @@ def _checks_halfspace(rng: random.Random) -> list:
         # at p = 2 the leading total traction vanishes identically
         worst = 0.0
         for field in sol.fields:
-            t = _fields.total_theta_series(field, material)
-            m_scale = max(s.max_abs_coef() for s in
-                          _fields.dipolar_series(field, material).values())
+            m = _fields.dipolar_series(field, material)
+            t = _fields._total_theta(m)
+            m_scale = max(s.max_abs_coef() for s in m.values())
             for s in t.values():
                 worst = max(worst, s.max_abs_coef() / max(m_scale, _TINY))
         checks.append(CheckResult(

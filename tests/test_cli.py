@@ -511,6 +511,28 @@ def test_field_usage_errors(capsys, monkeypatch, tmp_path):
         assert flag in err and "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mode", "ap", "--from", "90", "--to", "91"],
+    ["field", "--mode", "ap", "--angle-deg", "180", "--eig-index", "1",
+     "--amps", "1", "--r", "1", "--theta-steps", "3"],
+])
+def test_out_naming_a_directory_is_refused_before_any_solve(
+        capsys, monkeypatch, tmp_path, argv):
+    # the solvers still run if called, so a late refusal (the same message,
+    # from the failed open after the solve) shows as a nonzero count
+    calls = []
+    for name in ("smallest_exponents", "admissible_eigenvalues"):
+        def counted(*args, _solve=getattr(cli, name), **kwargs):
+            calls.append(_solve.__name__)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    rc, out, err = run(capsys, argv + ["--out", str(tmp_path)])
+    assert rc == 1 and out == ""
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------------------------
 # equilibrium
 # ----------------------------------------------------------------------

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import oracles
-from gradnotch.basis import attach_p1, solution_from_amplitudes
+from gradnotch import fields
+from gradnotch.basis import (apply_bc_operators, attach_p1,
+                             solution_from_amplitudes)
+from gradnotch.equilibrium import check_equilibrium, resultant_on_arc
 from gradnotch.fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
                               crack_mode_std_amplitudes,
                               crack_reference_fields, dipolar_series,
@@ -225,3 +230,75 @@ def test_series_map_key_order_matches_output_contract():
     sol_ap, mat_ap = _solution(Mode.ANTIPLANE_ODD, 1.62, 0.27, (1.0, -0.6))
     assert tuple(field_series_map(sol_ap.fields[0],
                                   mat_ap)) == ANTIPLANE_FIELD_KEYS
+
+
+# ----------------------------------------------------------------------
+# the stage chain: each stage built once, and the same series either way
+# ----------------------------------------------------------------------
+
+_STAGES = ("strain_series", "_monopolar", "_dipolar", "_total_theta",
+           "_total_r", "_energy_density", "_polar_gradient")
+
+
+def _count_stages(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in _STAGES:
+        def counted(*args, _name=name, _stage=getattr(fields, name)):
+            calls[_name] += 1
+            return _stage(*args)
+        monkeypatch.setattr(fields, name, counted)
+    return calls
+
+
+def test_field_series_map_builds_each_stage_once(monkeypatch):
+    plane, mat = _solution(*GENERAL_CASES[0], mu=1.3, c=0.7)
+    anti, _ = _solution(*GENERAL_CASES[4], mu=1.3, c=0.7)
+    calls = _count_stages(monkeypatch)
+    field_series_map(plane.fields[0], mat)
+    # the polar gradient serves m = c grad(tau) and grad(eps) in W
+    assert calls == Counter(strain_series=1, _monopolar=1, _dipolar=1,
+                            _total_theta=1, _total_r=1, _energy_density=1,
+                            _polar_gradient=2)
+    calls.clear()
+    field_series_map(anti.fields[0], mat)
+    assert calls == Counter(strain_series=1, _monopolar=1, _dipolar=1,
+                            _total_theta=1, _energy_density=1,
+                            _polar_gradient=2)
+
+
+def test_face_and_arc_callers_build_the_dipolar_stress_once(monkeypatch):
+    sol, mat = _solution(*GENERAL_CASES[0])
+    field = sol.fields[0]
+    calls = _count_stages(monkeypatch)
+    apply_bc_operators(field, mat.nu)
+    assert calls["_dipolar"] == 1
+    calls.clear()
+    resultant_on_arc(field, mat, 1.0, math.pi)
+    assert calls["_dipolar"] == 1
+    calls.clear()
+    check_equilibrium(field, mat, 1.0, math.pi)
+    assert calls["_dipolar"] == 2
+
+
+def test_series_map_components_equal_their_public_stage():
+    rng = random.Random(11)
+    for mode in Mode:
+        for _ in range(3):
+            n_amps = 4 if mode.is_plane else 2
+            sol, mat = _solution(
+                mode, rng.uniform(1.1, 3.9), rng.uniform(-0.9, 0.45),
+                tuple(rng.uniform(-1, 1) for _ in range(n_amps)),
+                mu=rng.uniform(0.2, 3.0), c=rng.uniform(0.2, 3.0))
+            field = sol.fields[0]
+            owners = [strain_series(field), monopolar_series(field, mat),
+                      dipolar_series(field, mat),
+                      total_theta_series(field, mat),
+                      {"W": energy_density_series(field, mat)}]
+            if mode.is_plane:
+                owners.append(total_r_series(field, mat))
+            series = field_series_map(field, mat)
+            owned = {key: s for owner in owners for key, s in owner.items()}
+            displacement = dict(zip(series, field.components()))
+            assert set(owned) | set(displacement) == set(series)
+            for key, s in {**owned, **displacement}.items():
+                assert series[key].terms == s.terms, key
