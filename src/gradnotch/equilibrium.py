@@ -12,9 +12,9 @@ for the arc-face corners of the sector this evaluates to
     E_q(B) = - (m_rtq + m_trq) at (r0, -a).
 
 Both routes to the arc resultants are computed: exact angular integration
-of the series, and adaptive Gauss-Legendre quadrature; they must agree to
-near machine precision or the check aborts rather than report a
-fortuitous balance.
+of the series, and nested Clenshaw-Curtis quadrature with weights from one
+FFT (Waldvogel 2006, BIT 46:195); they must agree to near machine
+precision or the check aborts rather than report a fortuitous balance.
 """
 
 from __future__ import annotations
@@ -102,8 +102,11 @@ def edge_forces(field: DisplacementField, material: MaterialParams,
                 r0: float, half_angle_a: float) -> CornerForces:
     """Corner forces of the sector r <= r0 at theta = +/- a."""
     _require_plane(field)
-    m = dipolar_series(field, material)
-    a = half_angle_a
+    return _corners(dipolar_series(field, material), r0, half_angle_a)
+
+
+def _corners(m: dict, r0: float, a: float) -> CornerForces:
+    """Corner forces at theta = +/- a from the dipolar stress m."""
     jump_r = m["m_rrt"] + m["m_trr"]
     jump_t = m["m_rtt"] + m["m_ttr"]
     e_r_a = jump_r.eval(r0, a)
@@ -120,16 +123,35 @@ def edge_forces(field: DisplacementField, material: MaterialParams,
     )
 
 
+def _clenshaw_curtis(n: int) -> tuple:
+    """Clenshaw-Curtis rule on [-1, 1]: nodes cos(k pi / n), k = 0..n, and
+    their weights from one inverse FFT (Waldvogel 2006, BIT 46:195).
+
+    The n-rule nodes are the even-index nodes of the 2n rule, bit for bit.
+    """
+    nodes = np.cos(np.pi * np.arange(n + 1) / n)
+    odd = np.arange(1.0, n, 2.0)
+    v = np.concatenate(
+        [2.0 / (odd * (odd - 2.0)), [1.0 / odd[-1]], np.zeros(n - odd.size)])
+    g = -np.ones(n)
+    g[odd.size] += n
+    g[n - odd.size] += n
+    w = np.fft.ifft(-v[:-1] - v[:0:-1] + g / (n * n - 1 + n % 2)).real
+    return nodes, np.append(w, w[0])
+
+
 def _quad_arc(series_list, r0: float, a: float) -> tuple:
-    """Adaptive Gauss-Legendre integrals of series over theta in [-a, a]."""
-    prev = None
+    """Nested Clenshaw-Curtis integrals of series over theta in [-a, a].
+
+    Each doubling keeps the values at the n-rule nodes and evaluates the
+    series only at the 2n rule's new, odd-index nodes.
+    """
     n = _QUAD_START
+    nodes, weights = _clenshaw_curtis(n)
+    values = [s.eval(r0, a * nodes) for s in series_list]
+    prev = None
     while True:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        theta = nodes * a
-        w = weights * a
-        vals = tuple(
-            float(np.dot(w, s.eval(r0, theta))) for s in series_list)
+        vals = tuple(float(a * np.dot(weights, f)) for f in values)
         if prev is not None:
             err = max(abs(x - y) for x, y in zip(vals, prev))
             if err <= _QUAD_RTOL * max(1.0, max(abs(x) for x in vals)):
@@ -138,6 +160,14 @@ def _quad_arc(series_list, r0: float, a: float) -> tuple:
             return vals
         prev = vals
         n *= 2
+        nodes, weights = _clenshaw_curtis(n)
+        grown = []
+        for s, f in zip(series_list, values):
+            g = np.empty(n + 1)
+            g[0::2] = f
+            g[1::2] = s.eval(r0, a * nodes[1::2])
+            grown.append(g)
+        values = grown
 
 
 def resultant_on_arc(field: DisplacementField, material: MaterialParams,
@@ -150,8 +180,11 @@ def resultant_on_arc(field: DisplacementField, material: MaterialParams,
     quadrature; QuadratureDisagreement on mismatch.
     """
     _require_plane(field)
-    a = half_angle_a
-    m = dipolar_series(field, material)
+    return _arc(dipolar_series(field, material), r0, half_angle_a)
+
+
+def _arc(m: dict, r0: float, a: float) -> ArcResultants:
+    """Arc resultants over theta in [-a, a] from the dipolar stress m."""
     t_arc = _total_r(m)
     cos1 = PolarSeries.single(1.0, 0.0, 1.0, "cos")
     sin1 = PolarSeries.single(1.0, 0.0, 1.0, "sin")
@@ -192,8 +225,10 @@ def check_equilibrium(field: DisplacementField, material: MaterialParams,
     so all three are commensurate. Each must lie within EQUILIBRIUM_TOL
     of that scale.
     """
-    arc = resultant_on_arc(field, material, r0, half_angle_a)
-    corners = edge_forces(field, material, r0, half_angle_a)
+    _require_plane(field)
+    m = dipolar_series(field, material)
+    arc = _arc(m, r0, half_angle_a)
+    corners = _corners(m, r0, half_angle_a)
     sum_fx = arc.h + corners.e_x_a + corners.e_x_b
     sum_fy = arc.v + corners.e_y_a + corners.e_y_b
     sum_moment = arc.t + r0 * (corners.e_t_a + corners.e_t_b)

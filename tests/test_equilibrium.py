@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
 import oracles
+from gradnotch import equilibrium
 from gradnotch.basis import eigenfield, solution_from_amplitudes
-from gradnotch.equilibrium import (check_equilibrium, edge_forces,
-                                   resultant_on_arc)
+from gradnotch.cli import main
+from gradnotch.equilibrium import (QuadratureDisagreement, check_equilibrium,
+                                   edge_forces, resultant_on_arc)
 from gradnotch.eigensolver import smallest_exponents
 from gradnotch.fields import crack_mode_std_amplitudes
-from gradnotch.model import MaterialParams, Mode, WedgeCase
+from gradnotch.model import MaterialParams, Mode, PolarSeries, WedgeCase
 
 
 def _crack_field(mode_label, amps, nu, mu=1.0, c=1.0):
@@ -130,3 +134,138 @@ def test_antiplane_field_is_rejected():
         edge_forces(field, mat, 1.0, math.pi)
     with pytest.raises(ValueError):
         resultant_on_arc(field, mat, 1.0, math.pi)
+
+
+# ----------------------------------------------------------------------
+# Clenshaw-Curtis cross-check quadrature
+# ----------------------------------------------------------------------
+
+def _mp_clenshaw_curtis_weights(n):
+    """Classical cosine-sum Clenshaw-Curtis weights, in 30 digits."""
+    mpmath.mp.dps = 30
+    weights = []
+    for k in range(n + 1):
+        s = 1 - mpmath.fsum(
+            (1 if 2 * j == n else 2) / mpmath.mpf(4 * j * j - 1)
+            * mpmath.cos(2 * j * k * mpmath.pi / n)
+            for j in range(1, n // 2 + 1))
+        weights.append((1 if k in (0, n) else 2) * s / n)
+    return weights
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_clenshaw_curtis_weights_match_cosine_sum_in_mpmath(n):
+    _, weights = equilibrium._clenshaw_curtis(n)
+    want = _mp_clenshaw_curtis_weights(n)
+    assert max(abs(w - float(x)) for w, x in zip(weights, want)) < 1e-16
+
+
+@pytest.mark.parametrize("n", [64, 128, 4096])
+def test_clenshaw_curtis_weights_are_positive_and_sum_to_two(n):
+    nodes, weights = equilibrium._clenshaw_curtis(n)
+    assert nodes.shape == weights.shape == (n + 1,)
+    assert weights.min() > 0.0
+    assert abs(weights.sum() - 2.0) < 1e-14
+
+
+@pytest.mark.parametrize("n", [64, 128, 4096])
+def test_clenshaw_curtis_is_exact_on_monomials_up_to_degree_n(n):
+    nodes, weights = equilibrium._clenshaw_curtis(n)
+    for d in range(n + 1):
+        want = float(mpmath.mpf(2) / (d + 1)) if d % 2 == 0 else 0.0
+        assert abs(np.dot(weights, nodes**d) - want) < 1e-14, d
+
+
+@pytest.mark.parametrize("n", [64, 128, 4096])
+@pytest.mark.parametrize("a", [math.pi / 2, 3 * math.pi / 4, math.pi])
+def test_clenshaw_curtis_integrates_arc_trig_integrands(n, a):
+    mpmath.mp.dps = 30
+    nodes, weights = equilibrium._clenshaw_curtis(n)
+    for k in (0.5, 1.0, 1.7, 2.0, 3.0, 4.25, 5.0, 6.0):
+        for trig, mp_trig in ((np.cos, mpmath.cos), (np.sin, mpmath.sin)):
+            got = a * np.dot(weights, trig(k * a * nodes))
+            want = mpmath.quad(lambda t: mp_trig(k * t), [-a, 0, a])
+            assert abs(got - float(want)) < 1e-14, (k, trig)
+
+
+def test_clenshaw_curtis_rules_nest_bit_for_bit():
+    n = 64
+    while n < 4096:
+        coarse, _ = equilibrium._clenshaw_curtis(n)
+        fine, _ = equilibrium._clenshaw_curtis(2 * n)
+        assert np.array_equal(coarse, fine[0::2])
+        n *= 2
+
+
+def _count_eval_points(monkeypatch, series) -> Counter:
+    """Points passed to `PolarSeries.eval`, by position in `series`."""
+    points = Counter()
+    original = PolarSeries.eval
+
+    def counted(self, r, theta):
+        for i, s in enumerate(series):
+            if s is self:
+                points[i] += np.size(theta)
+        return original(self, r, theta)
+    monkeypatch.setattr(PolarSeries, "eval", counted)
+    return points
+
+
+def test_quad_arc_converging_at_128_evaluates_129_points_per_series(
+        monkeypatch):
+    field, mat = _crack_field("I", (1.1, 0.7), 0.3)
+    integrands = []
+    honest = equilibrium._quad_arc
+
+    def recorded(series_list, r0, a):
+        integrands.extend(series_list)
+        return honest(series_list, r0, a)
+    monkeypatch.setattr(equilibrium, "_quad_arc", recorded)
+    points = _count_eval_points(monkeypatch, integrands)
+    resultant_on_arc(field, mat, 1.3, math.pi)
+    assert len(integrands) == 4
+    assert [points[i] for i in range(4)] == [129] * 4
+
+
+def test_quad_arc_doubles_past_128_for_a_fast_integrand(monkeypatch):
+    a, r0 = math.pi, 1.0
+    series = (PolarSeries.single(1.0, 0.0, 80.0, "cos"),
+              PolarSeries.single(0.7, 1.5, 80.3, "cos")
+              + PolarSeries.single(-0.2, 1.5, 3.0, "cos"))
+    points = _count_eval_points(monkeypatch, series)
+    got = equilibrium._quad_arc(series, r0, a)
+    assert points[0] > 129 and points[1] > 129
+    for s, q in zip(series, got):
+        exact = s.integrate_theta(a).eval(r0, 0.0)
+        assert abs(q - exact) <= equilibrium._QUAD_RTOL * max(1.0, abs(exact))
+
+
+def _off_by_a_millionth(monkeypatch):
+    honest = equilibrium._quad_arc
+
+    def skewed(series_list, r0, a):
+        vals = honest(series_list, r0, a)
+        shift = 1e-6 * max(1.0, *(abs(v) for v in vals))
+        return (vals[0] + shift,) + vals[1:]
+    monkeypatch.setattr(equilibrium, "_quad_arc", skewed)
+
+
+def test_quadrature_disagreement_is_raised(monkeypatch):
+    field, mat = _crack_field("I", (1.1, 0.7), 0.3)
+    _off_by_a_millionth(monkeypatch)
+    with pytest.raises(QuadratureDisagreement):
+        resultant_on_arc(field, mat, 1.0, math.pi)
+    with pytest.raises(QuadratureDisagreement):
+        check_equilibrium(field, mat, 1.0, math.pi)
+
+
+def test_cli_reports_quadrature_disagreement_without_traceback(
+        monkeypatch, capsys):
+    _off_by_a_millionth(monkeypatch)
+    rc = main(["equilibrium", "--mode", "I", "--angle-deg", "180",
+               "--nu", "0.3", "--amps", "1,0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: arc quadrature failed to converge")
+    assert "Traceback" not in captured.err
