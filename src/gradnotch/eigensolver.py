@@ -24,10 +24,16 @@ The scanner samples the bracket f on a uniform grid and has two triggers:
 The derivative is exact to rounding: the brackets accept complex p, and
 f'(p) = Im f(p + ih) / h with h = 1e-30 (the complex-step method, Squire
 and Trapp 1998), which involves no difference of nearby values.
+
+The grid is one numpy evaluation of the bracket; every point evaluation
+after it (Brent's steps on f and f', the dip test, the merge) goes
+through the same bracket formula with lib=math, or lib=cmath for the
+complex step, which avoids a 0-d array round trip per point.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -191,10 +197,11 @@ class _Scan:
                          for lo, hi, dip in cells]
 
     def f(self, p):
-        return char_bracket(p, self.case, self.nu)
+        return char_bracket(p, self.case, self.nu, math)
 
     def df(self, p):
-        return char_bracket(complex(p, _STEP), self.case, self.nu).imag / _STEP
+        return (char_bracket(complex(p, _STEP), self.case, self.nu, cmath)
+                .imag / _STEP)
 
     def roots(self, lo, hi, dip):
         """Refined roots of one trigger inside the scan window, ascending."""
@@ -220,14 +227,16 @@ class _Scan:
 
     def merged(self, roots):
         """Ascending roots with those closer than _CLUSTER_MERGE merged,
-        keeping the best |f|."""
+        keeping the best |f| (evaluated only for a cluster of two or
+        more)."""
         groups = []
         for p in roots:
             if groups and p - groups[-1][-1] <= _CLUSTER_MERGE:
                 groups[-1].append(p)
             else:
                 groups.append([p])
-        return [min(g, key=lambda x: abs(self.f(x))) for g in groups]
+        return [g[0] if len(g) == 1 else min(g, key=lambda x: abs(self.f(x)))
+                for g in groups]
 
 
 def find_roots(case: WedgeCase, nu=None, options: RootScanOptions | None = None):

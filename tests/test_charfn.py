@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath
@@ -117,3 +118,46 @@ def test_bracket_dispatch_matches_direct_functions():
             assert char_bracket(p, anti, 0.3) == char_plane_anti(p, a, 0.3)
             assert char_bracket(p, ap) == char_antiplane(p, a)
 
+
+
+# the scalar path: a at both limits, just inside them and at 135 degrees;
+# nu across its range; p through (1, 4] with p = 1, 2, the 135-degree touch
+# roots and the pole p = 7 - 8 nu
+SCALAR_A = (math.pi / 2, math.radians(90.0001), 3.0 * math.pi / 4.0,
+            math.radians(179.9999), math.pi)
+SCALAR_NU = (-0.9, 0.0, 0.3, 0.4999)
+
+
+def _scalar_points(nu):
+    return np.concatenate([np.linspace(1.0, 4.0, 61),
+                           [1.0, 2.0, 5.0 / 3.0, 7.0 / 3.0, 11.0 / 3.0,
+                            7.0 - 8.0 * nu]])
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_scalar_path_matches_the_array_path(mode):
+    # lib=math against the numpy grid to 4 ulps of max(1, |f|) (another
+    # libm may round a cosine differently, so no bits are pinned), and the
+    # lib=cmath complex step against numpy's and the 30-digit derivative
+    h = 1e-30
+    bracket = oracles.BRACKETS[mode.value]
+    for a in SCALAR_A:
+        case = WedgeCase(half_angle_a=a, mode=mode)
+        for nu in SCALAR_NU:
+            ps = _scalar_points(nu)
+            values = char_bracket(ps, case, nu)
+            steps = char_bracket(ps + 1j * h, case, nu)
+            for p, value, step in zip(ps.tolist(), values, steps):
+                scalar = char_bracket(p, case, nu, math)
+                assert type(scalar) is float
+                assert abs(scalar - value) <= 4 * math.ulp(max(1.0, abs(value)))
+                scalar_step = char_bracket(complex(p, h), case, nu, cmath)
+                assert type(scalar_step) is complex
+                assert scalar_step.imag / h == pytest.approx(
+                    step.imag / h, rel=1e-12, abs=1e-12)
+                with mpmath.workdps(30):
+                    ref = float(mpmath.diff(
+                        lambda x: bracket(x, mpmath.mpf(a), nu, lib=mpmath),
+                        mpmath.mpf(p)))
+                assert scalar_step.imag / h == pytest.approx(
+                    ref, rel=1e-12, abs=1e-12)

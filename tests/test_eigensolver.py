@@ -7,14 +7,16 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from gradnotch import eigensolver
 from gradnotch.charfn import char_bracket
-from gradnotch.eigensolver import (AdmissibleRoot, NoRootFound,
+from gradnotch.eigensolver import (AdmissibleRoot, NoRootFound, NoSignChange,
                                    RootScanOptions, admissible_eigenvalues,
                                    find_roots, smallest_exponents)
 from gradnotch.model import Mode, WedgeCase
@@ -199,3 +201,88 @@ def test_importing_the_cli_does_not_import_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _record_bracket_args(monkeypatch):
+    """The type of p and the library of each bracket evaluation of the
+    scanner."""
+    seen = []
+
+    def recorded(p, case, nu=None, lib=np):
+        seen.append((type(p), lib.__name__))
+        return char_bracket(p, case, nu, lib)
+
+    monkeypatch.setattr(eigensolver, "char_bracket", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("scan", [find_roots, smallest_exponents])
+def test_only_the_scan_grid_goes_through_numpy(monkeypatch, scan):
+    # at 135 degrees the smallest plane-anti root, 5/3, is a touch root, so
+    # both calls refine on f' (complex p, cmath) as well as on f (float p,
+    # math)
+    seen = _record_bracket_args(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoSignChange)
+        scan(_case(3.0 * math.pi / 4.0, Mode.PLANE_ANTI), 0.3)
+    assert seen[0] == (np.ndarray, "numpy")
+    assert set(seen[1:]) == {(float, "math"), (complex, "cmath")}
+
+
+def test_merge_evaluates_the_bracket_only_for_clusters(monkeypatch):
+    scan = eigensolver._Scan(_case(2.3, Mode.PLANE_SYM), 0.3, None)
+    seen = _record_bracket_args(monkeypatch)
+    assert scan.merged([1.5, 2.5]) == [1.5, 2.5]
+    assert seen == []
+    pair = [2.5, 2.5 + 1e-10]
+    merged = scan.merged(pair)
+    assert seen == [(float, "math")] * 2
+    assert merged == [min(pair, key=lambda p: abs(scan.f(p)))]
+
+
+def _roots_and_touches(case, nu):
+    """find_roots and the set of its accepted even-multiplicity roots."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NoSignChange)
+        roots = find_roots(case, nu)
+    return roots, {w.message.p_approx for w in caught
+                   if issubclass(w.category, NoSignChange)
+                   and w.message.accepted}
+
+
+# both limits, just inside them, and the 135-degree touch roots (7/3 and
+# 11/3 plane-sym, 5/3 and 3 plane-anti)
+PATH_ANGLES = (90.0, 90.0001, 135.0, 150.0, 179.9999, 180.0)
+PATH_CASES = [(mode, angle, nu)
+              for mode in (Mode.PLANE_SYM, Mode.PLANE_ANTI)
+              for angle in PATH_ANGLES
+              for nu in (-0.5, 0.3, 0.36, 0.4999)] + [
+    (Mode.ANTIPLANE_ODD, angle, None) for angle in PATH_ANGLES]
+
+
+def test_scalar_path_roots_equal_the_numpy_path(monkeypatch):
+    # the same scan with f and f' evaluated through numpy: every simple
+    # root is bit for bit the same, and a touch root (a zero of f', whose
+    # complex step may round differently) within refine_tol
+    scalar = {key: _roots_and_touches(_case(math.radians(key[1]), key[0]),
+                                      key[2])
+              for key in PATH_CASES}
+    step = eigensolver._STEP
+    monkeypatch.setattr(eigensolver._Scan, "f",
+                        lambda self, p: char_bracket(p, self.case, self.nu))
+    monkeypatch.setattr(
+        eigensolver._Scan, "df",
+        lambda self, p: char_bracket(complex(p, step), self.case,
+                                     self.nu).imag / step)
+    worst = 0.0
+    for key, (roots, touches) in scalar.items():
+        ref, ref_touches = _roots_and_touches(
+            _case(math.radians(key[1]), key[0]), key[2])
+        assert len(roots) == len(ref), key
+        for p, q in zip(roots, ref):
+            if p in touches or q in ref_touches:
+                worst = max(worst, abs(p - q))
+                assert abs(p - q) <= REFINE_TOL, key
+            else:
+                assert p == q, key
+    print(f"largest touch-root difference, scalar vs numpy path: {worst:.3e}")
