@@ -31,11 +31,12 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
-from .basis import (EmptyNullSpace, attach_p1, eigenfield,
-                    solution_from_amplitudes)
+from .basis import (EmptyNullSpace, eigenfield, solution_from_amplitudes,
+                    special_p1_field)
 from .equilibrium import QuadratureDisagreement, check_equilibrium
 from .eigensolver import (NoRootFound, RootScanOptions, admissible_eigenvalues,
                           smallest_exponents)
@@ -230,7 +231,7 @@ def cmd_eig(args) -> int:
     roots = [{
         "p": entry.p,
         "kind": entry.kind,
-        "admissible": entry.admissible,
+        "admissible": True,
         "nullity": 0 if sol is None else sol.nullity,
         "amplitudes": ([] if sol is None
                        else [list(vec) for vec in sol.amplitudes]),
@@ -338,8 +339,19 @@ def cmd_field(args) -> int:
     material = _material(args, nu)
     radii = _field_radii(args)
     amps = _parse_floats(args.amps, "--amps")
-    constants = (None if args.with_p1 is None
-                 else _parse_floats(args.with_p1, "--with-p1"))
+    p1_field = None
+    if args.with_p1 is not None:
+        # checked before any solve: index 0 is always the p = 1 entry
+        constants = _parse_floats(args.with_p1, "--with-p1")
+        if args.eig_index == 0:
+            raise UsageError("--with-p1 cannot be combined with the p = 1 "
+                             "entry; its amplitudes already are the "
+                             "constant-strain coefficients")
+        try:
+            p1_field = special_p1_field(mode, constants)
+        except ValueError as exc:
+            raise UsageError(f"--with-p1: {exc}, "
+                             f"got {len(constants)}") from exc
     _check_out(args.out)
     case = WedgeCase(half_angle_a=half_angle, mode=mode)
 
@@ -358,17 +370,9 @@ def cmd_field(args) -> int:
         raise UsageError(f"--amps expects {sol.nullity} coefficient(s) "
                          f"(the nullity at p = {entry.p:.12g}), "
                          f"got {len(amps)}")
-    if constants is not None:
-        if sol.kind == "special_p1":
-            raise UsageError("--with-p1 cannot be combined with the p = 1 "
-                             "entry; its amplitudes already are the "
-                             "constant-strain coefficients")
-        try:
-            sol = attach_p1(sol, constants)
-        except ValueError as exc:
-            msg = f"--with-p1: {exc}, got {len(constants)}"
-            raise UsageError(msg) from exc
-    field = sol.combined_field(list(amps), include_p1=True)
+    field = sol.combined_field(list(amps))
+    if p1_field is not None:
+        field = field + p1_field
 
     thetas = np.linspace(-half_angle, half_angle, args.theta_steps)
     keys = PLANE_FIELD_KEYS if mode.is_plane else ANTIPLANE_FIELD_KEYS
@@ -623,6 +627,8 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """Console-script entry point: main() with each warning on one line."""
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     sys.exit(main())
 
 

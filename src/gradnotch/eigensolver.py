@@ -101,7 +101,6 @@ class AdmissibleRoot:
 
     p: float
     kind: str          # "special_p1" | "bracket_root"
-    admissible: bool
 
 
 @dataclass(frozen=True)
@@ -109,18 +108,16 @@ class ExponentSummary:
     """Leading exponent p with the derived field growth rates.
 
     Displacements grow like r**p, strains and monopolar stresses like
-    r**(p-1), dipolar stresses like r**(p-2), total stresses like r**(p-3).
+    r**(p-1), total stresses like r**(p-3).
     """
 
     p: float
     exp_monopolar: float
-    exp_dipolar: float
     exp_total: float
 
     @classmethod
     def from_p(cls, p: float) -> "ExponentSummary":
-        return cls(p=p, exp_monopolar=p - 1.0, exp_dipolar=p - 2.0,
-                   exp_total=p - 3.0)
+        return cls(p=p, exp_monopolar=p - 1.0, exp_total=p - 3.0)
 
 
 def _brent(f, a, b, fa, fb, tol):
@@ -261,9 +258,8 @@ def admissible_eigenvalues(case: WedgeCase, nu=None,
     field equations, and it carries bounded energy). Every bracket root
     lies above p = 1, so its energy is bounded too.
     """
-    return [AdmissibleRoot(p=1.0, kind="special_p1", admissible=True)] + [
-        AdmissibleRoot(p=p, kind="bracket_root", admissible=True)
-        for p in find_roots(case, nu, options)]
+    return [AdmissibleRoot(1.0, "special_p1")] + [
+        AdmissibleRoot(p, "bracket_root") for p in find_roots(case, nu, options)]
 
 
 def smallest_exponents(case: WedgeCase, nu=None,

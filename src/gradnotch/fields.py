@@ -5,10 +5,11 @@ a function of the one before: strains eps (strain_series), monopolar
 stresses tau from the isotropic law (_monopolar), dipolar stresses
 m = c grad(tau) (_dipolar), leading total tractions on faces and arcs
 from the divergence of m (_total_theta, _total_r), and the energy
-density W, a positive-definite quadratic form in eps and grad(eps)
-(_energy_density); _polar_gradient is the one polar gradient both m and
-W use. A public (field, material) function runs the chain up to its own
-stage; field_series_map runs it once, building each stage once.
+density W = (tau:eps + m:grad(eps)) / 2 from the stages themselves
+(_energy_density), so the material constants enter only tau and m;
+_polar_gradient is the one polar gradient both m and W use. A public
+(field, material) function runs the chain up to its own stage;
+field_series_map runs it once, building each stage once.
 
 The exposed total tractions are the leading (gradient) part — the dominant
 near-tip contribution, two powers of r more singular than the monopolar
@@ -137,27 +138,23 @@ def _total_r(m: dict) -> dict:
     return {"t_rr": t_rr, "t_rt": t_rt}
 
 
-def _energy_density(eps: dict, material: MaterialParams) -> PolarSeries:
-    """W from the strain and its gradient."""
-    mu, lam, c = material.mu, material.lam, material.c
+def _energy_density(eps: dict, tau: dict, m: dict) -> PolarSeries:
+    """W = (tau:eps + m:grad(eps)) / 2, the quadratic energy by Euler's
+    theorem. A shear component stands for a symmetric pair and counts
+    twice: eps_rt, m_rrt and m_ttr in plane, every anti-plane component
+    (tau_zz meets eps_zz = 0 and drops out). m's keys run in the order of
+    _polar_gradient's components."""
     if "eps_rr" in eps:
-        e_rr, e_tt, e_rt = eps["eps_rr"], eps["eps_tt"], eps["eps_rt"]
-        trace = e_rr + e_tt
-        w = (trace * trace).scaled(0.5 * lam)
-        w = w + (e_rr * e_rr + e_tt * e_tt + (e_rt * e_rt).scaled(2.0)).scaled(mu)
-        tr_r = trace.dr()
-        tr_t = trace.dtheta().div_r()
-        w = w + (tr_r * tr_r + tr_t * tr_t).scaled(0.5 * lam * c)
-        g_rrr, g_rrt, g_rtt, g_trr, g_trt, g_ttt = _polar_gradient(
-            e_rr, e_tt, e_rt)
-        grad2 = (g_rrr * g_rrr + g_rtt * g_rtt + (g_rrt * g_rrt).scaled(2.0)
-                 + g_trr * g_trr + g_ttt * g_ttt + (g_trt * g_trt).scaled(2.0))
-        return w + grad2.scaled(mu * c)
-    e_rz, e_tz = eps["eps_rz"], eps["eps_tz"]
-    w = (e_rz * e_rz + e_tz * e_tz).scaled(2.0 * mu)
-    g_rrz, g_rtz, g_trz, g_ttz = _polar_gradient(e_rz, e_tz)
-    grad2 = g_rrz * g_rrz + g_rtz * g_rtz + g_trz * g_trz + g_ttz * g_ttz
-    return w + grad2.scaled(2.0 * mu * c)
+        strain = (eps["eps_rr"], eps["eps_tt"], eps["eps_rt"])
+        stress = (tau["tau_rr"], tau["tau_tt"], tau["tau_rt"], *m.values())
+        weights = (0.5, 0.5, 1.0, 0.5, 1.0, 0.5, 0.5, 1.0, 0.5)
+    else:
+        strain = (eps["eps_rz"], eps["eps_tz"])
+        stress = (tau["tau_rz"], tau["tau_tz"], *m.values())
+        weights = (1.0,) * 6
+    pairs = zip(stress, strain + _polar_gradient(*strain), weights)
+    return PolarSeries(tuple((t.coef * w, t.r_exp, t.freq, t.kind)
+                             for s, k, w in pairs for t in (s * k).terms))
 
 
 def monopolar_series(field: DisplacementField, material: MaterialParams) -> dict:
@@ -185,7 +182,9 @@ def total_r_series(field: DisplacementField, material: MaterialParams) -> dict:
 def energy_density_series(field: DisplacementField,
                           material: MaterialParams) -> PolarSeries:
     """Strain-energy density as an exact series (positive definite)."""
-    return _energy_density(strain_series(field), material)
+    eps = strain_series(field)
+    tau = _monopolar(eps, material)
+    return _energy_density(eps, tau, _dipolar(tau, material.c))
 
 
 # CSV ordering of derived components per mode
@@ -218,7 +217,7 @@ def field_series_map(field: DisplacementField, material: MaterialParams) -> dict
                **eps, **tau, **m, **_total_theta(m), **_total_r(m)}
     else:
         out = {"w": field.w, **eps, **tau, **m, **_total_theta(m)}
-    out["W"] = _energy_density(eps, material)
+    out["W"] = _energy_density(eps, tau, m)
     return out
 
 

@@ -178,12 +178,10 @@ def det_vs_charfn(case: WedgeCase, nu: float | None = None) -> DetCharReport:
     nu_det = 0.0 if nu is None else nu
 
     grid = np.linspace(_DET_P_LO, _DET_P_HI, _DET_N_GRID)
-    det = _basis.bc_det(case, grid, nu_det)
+    abs_det = np.abs(_basis.bc_det(case, grid, nu_det))
 
-    roots = [1.0, 2.0]
-    roots += [r for r in find_roots(
-        case, nu=nu, options=RootScanOptions(p_max=_DET_P_HI))]
-    roots = sorted(roots)
+    roots = sorted([1.0, 2.0, *find_roots(
+        case, nu=nu, options=RootScanOptions(p_max=_DET_P_HI))])
 
     exclude = list(roots)
     if case.mode.is_plane:
@@ -191,23 +189,23 @@ def det_vs_charfn(case: WedgeCase, nu: float | None = None) -> DetCharReport:
         if _DET_P_LO - 0.2 < pole < _DET_P_HI + 0.2:
             exclude.append(pole)
 
-    def window_max(p: float, half: float = 0.15) -> float:
-        mask = np.abs(grid - p) <= half
-        return float(np.max(np.abs(det[mask]))) if mask.any() else 0.0
+    def window_max(ps) -> np.ndarray:
+        """max |det| over the grid within 0.15 of each p (0 if none), in
+        blocks of 64 p so that no (p, grid) array outgrows a block."""
+        return np.concatenate([
+            np.where(np.abs(block[:, None] - grid) <= 0.15, abs_det,
+                     0.0).max(axis=1)
+            for block in np.array_split(ps, len(ps) // 16 + 1)])
 
-    max_root_ratio = 0.0
-    in_range = [root for root in roots if _DET_P_LO <= root <= _DET_P_HI]
-    root_det = _basis.bc_det(case, np.array(in_range), nu_det)
-    for root, val in zip(in_range, np.abs(root_det)):
-        ref = max(window_max(root), _TINY)
-        max_root_ratio = max(max_root_ratio, float(val) / ref)
+    in_range = np.array([p for p in roots if _DET_P_LO <= p <= _DET_P_HI])
+    root_det = np.abs(_basis.bc_det(case, in_range, nu_det))
+    max_root_ratio = float(np.max(
+        root_det / np.maximum(window_max(in_range), _TINY), initial=0.0))
 
-    min_off_ratio = math.inf
-    for i, p in enumerate(grid):
-        if min(abs(p - x) for x in exclude) <= 0.1:
-            continue
-        ref = max(window_max(float(p)), _TINY)
-        min_off_ratio = min(min_off_ratio, abs(det[i]) / ref)
+    off = np.all(np.abs(grid[:, None] - np.array(exclude)) > 0.1, axis=1)
+    min_off_ratio = float(np.min(
+        abs_det[off] / np.maximum(window_max(grid[off]), _TINY),
+        initial=math.inf))
 
     passed = max_root_ratio < 1e-6 and min_off_ratio > 1e-6
     return DetCharReport(roots=tuple(roots), max_root_ratio=max_root_ratio,

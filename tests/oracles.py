@@ -22,7 +22,12 @@ oracles are:
   echelon form, since what it checks is the batched pass, not those);
 - the p = 1 constants of the crack modes and literal transcriptions of
   the general-exponent fields (reference_general_series);
-- adaptive quadrature (scipy.integrate.quad) for arc resultants.
+- adaptive quadrature (scipy.integrate.quad) for arc resultants;
+- the strain-energy density as the quadratic form in the strain and its
+  gradient with the material constants (energy_density_from_strain),
+  on series or, through MpJet, at one point in mpmath;
+- the determinant-zero check as a loop over its grid
+  (det_vs_charfn_loop).
 """
 
 import math
@@ -500,3 +505,153 @@ def reference_general_series(mode, p, nu, amps, material):
     }
     out.update(_face_series(mode, p, nu, a, material))
     return out
+
+
+# ----------------------------------------------------------------------
+# strain-energy density from the material constants
+# ----------------------------------------------------------------------
+
+def polar_gradient(*comps):
+    """Polar components of the gradient of a symmetric tensor: (a_rr,
+    a_tt, a_rt) gives (g_rrr, g_rrt, g_rtt, g_trr, g_ttr, g_ttt) and
+    (a_rz, a_tz) gives (g_rrz, g_rtz, g_trz, g_ttz), g_kij with k the
+    derivative direction."""
+    if len(comps) == 3:
+        a_rr, a_tt, a_rt = comps
+        return (a_rr.dr(), a_rt.dr(), a_tt.dr(),
+                (a_rr.dtheta() - a_rt.scaled(2.0)).div_r(),
+                (a_rt.dtheta() + a_rr - a_tt).div_r(),
+                (a_tt.dtheta() + a_rt.scaled(2.0)).div_r())
+    a_rz, a_tz = comps
+    return (a_rz.dr(), a_tz.dr(), (a_rz.dtheta() - a_tz).div_r(),
+            (a_tz.dtheta() + a_rz).div_r())
+
+
+def energy_density_from_strain(eps, material):
+    """W = lam/2 tr(eps)^2 + mu eps:eps + lam c/2 |grad tr(eps)|^2
+    + mu c grad(eps):grad(eps), the quadratic form in the strain and its
+    gradient written out with lam, mu and c.
+
+    eps maps the strain keys to PolarSeries, or to MpJet values at one
+    point for a high-precision evaluation.
+    """
+    mu, lam, c = material.mu, material.lam, material.c
+    if "eps_rr" in eps:
+        e_rr, e_tt, e_rt = eps["eps_rr"], eps["eps_tt"], eps["eps_rt"]
+        trace = e_rr + e_tt
+        w = (trace * trace).scaled(0.5 * lam)
+        w = w + (e_rr * e_rr + e_tt * e_tt
+                 + (e_rt * e_rt).scaled(2.0)).scaled(mu)
+        tr_r = trace.dr()
+        tr_t = trace.dtheta().div_r()
+        w = w + (tr_r * tr_r + tr_t * tr_t).scaled(0.5 * lam * c)
+        g_rrr, g_rrt, g_rtt, g_trr, g_trt, g_ttt = polar_gradient(
+            e_rr, e_tt, e_rt)
+        grad2 = (g_rrr * g_rrr + g_rtt * g_rtt + (g_rrt * g_rrt).scaled(2.0)
+                 + g_trr * g_trr + g_ttt * g_ttt + (g_trt * g_trt).scaled(2.0))
+        return w + grad2.scaled(mu * c)
+    e_rz, e_tz = eps["eps_rz"], eps["eps_tz"]
+    w = (e_rz * e_rz + e_tz * e_tz).scaled(2.0 * mu)
+    g_rrz, g_rtz, g_trz, g_ttz = polar_gradient(e_rz, e_tz)
+    grad2 = g_rrz * g_rrz + g_rtz * g_rtz + g_trz * g_trz + g_ttz * g_ttz
+    return w + grad2.scaled(2.0 * mu * c)
+
+
+class MpJet:
+    """A series' value at one point (r, theta) with its r and theta
+    partials, in mpmath: the calculus energy_density_from_strain asks of
+    a strain component (one derivative, then products). A partial that
+    an operation cannot supply is None."""
+
+    def __init__(self, r, v, v_r=None, v_t=None):
+        self.r, self.v, self.v_r, self.v_t = r, v, v_r, v_t
+
+    @classmethod
+    def of_series(cls, series, r, theta):
+        r, theta = mpmath.mpf(r), mpmath.mpf(theta)
+        v = v_r = v_t = mpmath.mpf(0)
+        for t in series.terms:
+            coef, e, f = (mpmath.mpf(x) for x in (t.coef, t.r_exp, t.freq))
+            if t.kind == "cos":
+                trig, d_trig = mpmath.cos(f * theta), -f * mpmath.sin(f * theta)
+            else:
+                trig, d_trig = mpmath.sin(f * theta), f * mpmath.cos(f * theta)
+            v += coef * r**e * trig
+            v_r += coef * e * r**(e - 1) * trig
+            v_t += coef * r**e * d_trig
+        return cls(r, v, v_r, v_t)
+
+    @staticmethod
+    def _both(a, b, op):
+        return None if a is None or b is None else op(a, b)
+
+    def __add__(self, other):
+        return MpJet(self.r, self.v + other.v,
+                     self._both(self.v_r, other.v_r, mpmath.fadd),
+                     self._both(self.v_t, other.v_t, mpmath.fadd))
+
+    def __sub__(self, other):
+        return self + other.scaled(-1.0)
+
+    def __mul__(self, other):
+        return MpJet(self.r, self.v * other.v)
+
+    def scaled(self, k):
+        k = mpmath.mpf(k)
+        return MpJet(self.r, k * self.v,
+                     None if self.v_r is None else k * self.v_r,
+                     None if self.v_t is None else k * self.v_t)
+
+    def dr(self):
+        return MpJet(self.r, self.v_r)
+
+    def dtheta(self):
+        return MpJet(self.r, self.v_t)
+
+    def div_r(self):
+        return MpJet(self.r, self.v / self.r)
+
+
+# ----------------------------------------------------------------------
+# determinant-zero check, one grid point at a time
+# ----------------------------------------------------------------------
+
+def det_vs_charfn_loop(case, nu=None):
+    """verify.det_vs_charfn as a loop over its grid: each point builds
+    its own window mask and exclusion distance. Returns (roots,
+    max_root_ratio, min_off_ratio, passed)."""
+    from gradnotch import verify
+    from gradnotch.eigensolver import RootScanOptions, find_roots
+
+    lo, hi, n_grid = verify._DET_P_LO, verify._DET_P_HI, verify._DET_N_GRID
+    nu_det = 0.0 if nu is None else nu
+    grid = np.linspace(lo, hi, n_grid)
+    det = basis.bc_det(case, grid, nu_det)
+    roots = sorted([1.0, 2.0] + list(find_roots(
+        case, nu=nu, options=RootScanOptions(p_max=hi))))
+    exclude = list(roots)
+    if case.mode.is_plane:
+        pole = 7.0 - 8.0 * nu
+        if lo - 0.2 < pole < hi + 0.2:
+            exclude.append(pole)
+
+    def window_max(p, half=0.15):
+        mask = np.abs(grid - p) <= half
+        return float(np.max(np.abs(det[mask]))) if mask.any() else 0.0
+
+    max_root_ratio = 0.0
+    in_range = [root for root in roots if lo <= root <= hi]
+    root_det = basis.bc_det(case, np.array(in_range), nu_det)
+    for root, val in zip(in_range, np.abs(root_det)):
+        ref = max(window_max(root), verify._TINY)
+        max_root_ratio = max(max_root_ratio, float(val) / ref)
+
+    min_off_ratio = math.inf
+    for i, p in enumerate(grid):
+        if min(abs(p - x) for x in exclude) <= 0.1:
+            continue
+        ref = max(window_max(float(p)), verify._TINY)
+        min_off_ratio = min(min_off_ratio, abs(det[i]) / ref)
+
+    passed = max_root_ratio < 1e-6 and min_off_ratio > 1e-6
+    return tuple(roots), max_root_ratio, min_off_ratio, passed

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,8 @@ import pytest
 from gradnotch import basis, cli
 from gradnotch.basis import attach_p1, eigenfield
 from gradnotch.cli import main
-from gradnotch.eigensolver import admissible_eigenvalues, smallest_exponents
+from gradnotch.eigensolver import (NoSignChange, admissible_eigenvalues,
+                                  smallest_exponents)
 from gradnotch.fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
                               field_series_map)
 from gradnotch.model import MaterialParams, Mode, PolarSeries, WedgeCase
@@ -472,20 +475,6 @@ def test_field_usage_errors(capsys, monkeypatch, tmp_path):
     assert "2 coefficient" in err
 
     rc, _, err = run(capsys, ["field", "--mode", "ap", "--angle-deg", "180",
-                              "--eig-index", "0", "--amps", "1",
-                              "--with-p1", "0.4",
-                              "--r", "1", "--theta-steps", "3"])
-    assert rc == 1
-    assert "--with-p1" in err
-
-    rc, _, err = run(capsys, ["field", "--mode", "ap", "--angle-deg", "180",
-                              "--eig-index", "1", "--amps", "1",
-                              "--with-p1", "0.4,0.2",
-                              "--r", "1", "--theta-steps", "3"])
-    assert rc == 1
-    assert "1 constant" in err
-
-    rc, _, err = run(capsys, ["field", "--mode", "ap", "--angle-deg", "180",
                               "--eig-index", "99", "--amps", "1",
                               "--r", "1", "--theta-steps", "3"])
     assert rc == 1
@@ -509,6 +498,22 @@ def test_field_usage_errors(capsys, monkeypatch, tmp_path):
                                     "--r", "1", "--theta-steps", "3"])
         assert rc == 1 and out == ""
         assert flag in err and "finite" in err
+
+    # so are --with-p1 on the p = 1 entry and a wrong constant count
+    rc, out, err = run(capsys, ["field", "--mode", "ap", "--angle-deg", "180",
+                                "--eig-index", "0", "--amps", "1",
+                                "--with-p1", "0.4",
+                                "--r", "1", "--theta-steps", "3"])
+    assert rc == 1 and out == ""
+    assert "--with-p1 cannot be combined with the p = 1 entry" in err
+
+    rc, out, err = run(capsys, ["field", "--mode", "ap", "--angle-deg", "180",
+                                "--eig-index", "1", "--amps", "1",
+                                "--with-p1", "0.4,0.2",
+                                "--r", "1", "--theta-steps", "3"])
+    assert rc == 1 and out == ""
+    assert err == ("error: --with-p1: the anti-plane class takes 1 constant "
+                   "(E), got 2\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -736,3 +741,25 @@ def test_console_script_installed():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["roots"][1]["p"] == pytest.approx(1.5, abs=1e-9)
+
+
+def test_module_entry_prints_each_warning_on_one_line(capsys):
+    # the entry point formats warnings as "warning: <message>", without
+    # the source path and line the default format adds; stdout is what
+    # main() writes
+    argv = ["eig", "--mode", "ps-sym", "--angle-deg", "135", "--nu", "0.3"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "gradnotch.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert line.startswith(
+            "warning: even-multiplicity root accepted near p = ")
+        assert ".py:" not in line
+    with pytest.warns(NoSignChange):
+        rc, out, _ = run(capsys, argv)
+    assert rc == 0 and proc.stdout == out

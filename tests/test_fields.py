@@ -6,13 +6,15 @@ import math
 import random
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
 import oracles
 from gradnotch import fields
-from gradnotch.basis import (apply_bc_operators, attach_p1,
-                             solution_from_amplitudes)
+from gradnotch.basis import (apply_bc_operators, attach_p1, eigenfield,
+                             solution_from_amplitudes, special_p1_field)
+from gradnotch.eigensolver import admissible_eigenvalues
 from gradnotch.equilibrium import check_equilibrium, resultant_on_arc
 from gradnotch.fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
                               crack_mode_std_amplitudes,
@@ -222,6 +224,73 @@ def test_energy_density_is_nonnegative_and_matches_combined_field():
             assert w >= -1e-12 * w_series.max_abs_coef()
             assert combined.eval(r, theta) == pytest.approx(
                 w, rel=1e-12, abs=1e-14)
+
+
+# the fields W is checked on: the first three bracket roots of every mode
+# at the interval ends and inside it, with and without a p = 1 part, for
+# a material with mu and c away from 1
+_W_ANGLES_DEG = (90.0, 90.0001, 135.0, 179.9999, 180.0)
+_W_P1 = {Mode.PLANE_SYM: (0.4, -0.2), Mode.PLANE_ANTI: (0.3,),
+         Mode.ANTIPLANE_ODD: (0.5,)}
+
+
+def _w_fields(mode, angle_deg, nu, n_roots=3):
+    case = WedgeCase(half_angle_a=math.radians(angle_deg), mode=mode)
+    mat = MaterialParams(nu=0.3 if nu is None else nu, mu=1.7, c=0.6)
+    ps = [e.p for e in admissible_eigenvalues(case, nu)[1:1 + n_roots]]
+    p1 = special_p1_field(mode, _W_P1[mode])
+    fields_ = [f for sol in eigenfield(case, mat, np.array(ps))
+               if sol is not None for f in sol.fields]
+    return case, mat, fields_ + [f + p1 for f in fields_]
+
+
+def _w_cases(nus):
+    for mode in Mode:
+        for angle_deg in _W_ANGLES_DEG:
+            for nu in (nus if mode.is_plane else (None,)):
+                yield mode, angle_deg, nu
+
+
+@pytest.mark.parametrize("mode,angle_deg,nu",
+                         list(_w_cases((-0.9, 0.0, 0.3, 0.4999))))
+def test_energy_density_equals_the_material_constants_form(mode, angle_deg,
+                                                            nu):
+    # W = (tau:eps + m:grad(eps)) / 2 from the stages equals the quadratic
+    # form in eps and grad(eps) written with lam, mu and c, to roundoff of
+    # max |W| at each radius
+    case, mat, fields_ = _w_fields(mode, angle_deg, nu)
+    assert fields_
+    a = case.half_angle_a
+    r = np.array([0.5, 1.0, 2.0])[:, None]
+    theta = np.linspace(-a, a, 31)[None, :]
+    for field in fields_:
+        got = field_series_map(field, mat)["W"].eval(r, theta)
+        want = oracles.energy_density_from_strain(
+            strain_series(field), mat).eval(r, theta)
+        scale = np.max(np.abs(want), axis=1)
+        assert np.all(scale > 0.0)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("mode,angle_deg,nu",
+                         [case for case in _w_cases((-0.9, 0.4999))
+                          if case[1] in (90.0001, 179.9999)])
+def test_energy_density_matches_high_precision_form(mode, angle_deg, nu):
+    # the same form evaluated at 40 digits on the same strain series
+    case, mat, fields_ = _w_fields(mode, angle_deg, nu, n_roots=2)
+    a = case.half_angle_a
+    thetas = (-a, -0.5 * a, 0.1, 0.7 * a, a)
+    with mpmath.workdps(40):
+        for field in fields_:
+            w = energy_density_series(field, mat)
+            eps = strain_series(field)
+            for r in (0.5, 2.0):
+                want = [oracles.energy_density_from_strain(
+                    {k: oracles.MpJet.of_series(s, r, t)
+                     for k, s in eps.items()}, mat).v for t in thetas]
+                scale = max(abs(x) for x in want)
+                for t, ref in zip(thetas, want):
+                    assert abs(w.eval(r, t) - ref) <= 1e-13 * scale
 
 
 def test_series_map_key_order_matches_output_contract():

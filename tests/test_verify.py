@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import oracles
 from gradnotch.basis import (basis_fields, eigenfield,
                              solution_from_amplitudes, special_p1_solution)
 from gradnotch.model import MaterialParams, Mode, WedgeCase
@@ -74,6 +75,24 @@ def test_determinant_zero_set_matches_bracket(mode, nu):
     assert report.passed
     assert report.max_root_ratio < 1e-6
     assert report.min_off_ratio > 1e-6
+
+
+def _det_cases():
+    for mode in Mode:
+        for angle_deg in (90.0, 90.0001, 120.0, 135.0, 160.0, 179.9999, 180.0):
+            for nu in ((-0.9, 0.0, 0.3, 0.4999) if mode.is_plane else (None,)):
+                yield mode, angle_deg, nu
+
+
+@pytest.mark.parametrize("mode,angle_deg,nu", list(_det_cases()))
+def test_determinant_check_equals_the_pointwise_loop(mode, angle_deg, nu):
+    # the windowed maxima and the exclusion mask, taken as array
+    # operations, give the loop's report bit for bit
+    case = _case(math.radians(angle_deg), mode)
+    report = det_vs_charfn(case, nu)
+    assert (report.roots, report.max_root_ratio, report.min_off_ratio,
+            report.passed) == oracles.det_vs_charfn_loop(case, nu)
+    assert type(report.passed) is bool
 
 
 # ----------------------------------------------------------------------
