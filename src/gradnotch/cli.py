@@ -20,6 +20,13 @@ one block of rows at a time and never builds the whole text. An --out
 path that cannot be written is a usage error; one whose directory is
 missing, or that names a directory, is refused before any solve.
 
+Each flag is declared once: `eig`, `field` and `equilibrium` share
+--angle-deg, --mu and --c through one parent parser, and `_case` turns
+them and --nu into the library's WedgeCase, nu and MaterialParams.
+`sweep` takes no --mu or --c, since the exponents do not depend on them.
+RootScanOptions refuses a scan that would never end (its ValueError is
+a usage error); the CLI adds only its own limits on work and on --tol.
+
 Exit codes: 0 success, 1 usage error, 2 check failure.
 """
 
@@ -50,6 +57,13 @@ _MODE_BY_LABEL = {
     "ps-anti": Mode.PLANE_ANTI,
     "ap": Mode.ANTIPLANE_ODD,
 }
+# equilibrium labels of the plane modes; III and III-na are refused
+_EQUILIBRIUM_MODES = {
+    "I": Mode.PLANE_SYM,
+    "II": Mode.PLANE_ANTI,
+    "notch-sym": Mode.PLANE_SYM,
+    "notch-anti": Mode.PLANE_ANTI,
+}
 
 # bounds on the work one command may ask for: a scan up to p = 100 takes
 # about 1e5 grid points, a sweep of 10001 angles a few seconds, a field
@@ -58,6 +72,8 @@ _MODE_BY_LABEL = {
 # columns x rows, 160 MB for 1e6 plane rows), not by its text
 _MAX_P = 100.0
 _MAX_SWEEP_ANGLES = 10001
+# the sweep's last angle may lie this far past --to
+_SWEEP_SLACK = 1e-9
 _MAX_FIELD_ROWS = 1_000_000
 # field rows turned into Python floats and text at once: what the
 # CSV stream holds on top of the float grid
@@ -168,13 +184,6 @@ def _parse_floats(text: str, flag: str) -> tuple:
     return values
 
 
-def _check_angle(angle_deg: float) -> float:
-    if not 90.0 <= angle_deg <= 180.0:
-        raise UsageError(f"--angle-deg must lie in [90, 180], "
-                         f"got {angle_deg:g}")
-    return math.radians(angle_deg)
-
-
 def _resolve_nu(args, mode: Mode) -> float | None:
     """Poisson ratio for plane modes; None for anti-plane (ignored)."""
     if mode is Mode.ANTIPLANE_ODD:
@@ -186,32 +195,36 @@ def _resolve_nu(args, mode: Mode) -> float | None:
     return args.nu
 
 
-def _material(args, nu: float | None) -> MaterialParams:
+def _case(args, mode: Mode) -> tuple:
+    """(WedgeCase, nu, MaterialParams) from --angle-deg, --nu, --mu and
+    --c, checked in that order; nu is None for anti-plane."""
+    if not 90.0 <= args.angle_deg <= 180.0:
+        raise UsageError(f"--angle-deg must lie in [90, 180], "
+                         f"got {args.angle_deg:g}")
+    case = WedgeCase(half_angle_a=math.radians(args.angle_deg), mode=mode)
+    nu = _resolve_nu(args, mode)
     if not 0.0 < args.mu < math.inf:
         raise UsageError(f"--mu must be positive and finite, "
                          f"got {args.mu:g}")
     if not 0.0 < args.c < math.inf:
         raise UsageError(f"--c must be positive and finite, got {args.c:g}")
-    return MaterialParams(nu=0.0 if nu is None else nu, mu=args.mu, c=args.c)
+    return case, nu, MaterialParams(nu=0.0 if nu is None else nu,
+                                    mu=args.mu, c=args.c)
 
 
 def _scan_options(args) -> RootScanOptions:
-    p_max = getattr(args, "p_max", None)
-    tol = getattr(args, "tol", None)
-    kwargs = {}
-    if p_max is not None:
-        if p_max <= 1.0:
-            raise UsageError(f"--p-max must exceed 1, got {p_max:g}")
-        if not p_max <= _MAX_P:
-            raise UsageError(f"--p-max must not exceed {_MAX_P:g}, "
-                             f"got {p_max:g}")
-        kwargs["p_max"] = p_max
-    if tol is not None:
-        if not 0.0 < tol <= _MAX_TOL:
-            raise UsageError(f"--tol must lie in (0, {_MAX_TOL:g}], "
-                             f"got {tol:g}")
-        kwargs["refine_tol"] = tol
-    return RootScanOptions(**kwargs)
+    """--p-max and --tol under the CLI's upper bounds; RootScanOptions
+    refuses the rest."""
+    if not args.p_max <= _MAX_P:
+        raise UsageError(f"--p-max must not exceed {_MAX_P:g}, "
+                         f"got {args.p_max:g}")
+    if not 0.0 < args.tol <= _MAX_TOL:
+        raise UsageError(f"--tol must lie in (0, {_MAX_TOL:g}], "
+                         f"got {args.tol:g}")
+    try:
+        return RootScanOptions(p_max=args.p_max, refine_tol=args.tol)
+    except ValueError as exc:
+        raise UsageError(f"--p-max: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -219,14 +232,8 @@ def _scan_options(args) -> RootScanOptions:
 # ----------------------------------------------------------------------
 
 def cmd_eig(args) -> int:
-    mode = _MODE_BY_LABEL[args.mode]
-    half_angle = _check_angle(args.angle_deg)
-    nu = _resolve_nu(args, mode)
-    material = _material(args, nu)
-    options = _scan_options(args)
-    case = WedgeCase(half_angle_a=half_angle, mode=mode)
-
-    entries = admissible_eigenvalues(case, nu, options)
+    case, nu, material = _case(args, _MODE_BY_LABEL[args.mode])
+    entries = admissible_eigenvalues(case, nu, _scan_options(args))
     sols = eigenfield(case, material, np.array([e.p for e in entries]))
     roots = [{
         "p": entry.p,
@@ -258,9 +265,10 @@ def _sweep_angles(args) -> list:
                          f"got [{lo:g}, {hi:g}]")
     if lo > hi:
         raise UsageError(f"--from ({lo:g}) exceeds --to ({hi:g})")
-    if not step > 0.0:
-        raise UsageError(f"--step must be positive, got {step:g}")
-    if not (hi - lo) / step < _MAX_SWEEP_ANGLES:
+    if not 0.0 < step < math.inf:
+        raise UsageError(f"--step must be positive and finite, "
+                         f"got {step:g}")
+    if not (hi - lo + _SWEEP_SLACK) / step < _MAX_SWEEP_ANGLES:
         raise UsageError(f"a sweep may hold at most {_MAX_SWEEP_ANGLES} "
                          f"angles; --step {step:g} over [{lo:g}, {hi:g}] "
                          f"asks for more")
@@ -268,7 +276,7 @@ def _sweep_angles(args) -> list:
     i = 0
     while True:
         angle = lo + i * step
-        if angle > hi + 1e-9:
+        if angle > hi + _SWEEP_SLACK:
             break
         angles.append(min(angle, hi))
         i += 1
@@ -333,10 +341,7 @@ def _field_csv(keys, radii, thetas, grid):
 
 
 def cmd_field(args) -> int:
-    mode = _MODE_BY_LABEL[args.mode]
-    half_angle = _check_angle(args.angle_deg)
-    nu = _resolve_nu(args, mode)
-    material = _material(args, nu)
+    case, nu, material = _case(args, _MODE_BY_LABEL[args.mode])
     radii = _field_radii(args)
     amps = _parse_floats(args.amps, "--amps")
     p1_field = None
@@ -348,12 +353,11 @@ def cmd_field(args) -> int:
                              "entry; its amplitudes already are the "
                              "constant-strain coefficients")
         try:
-            p1_field = special_p1_field(mode, constants)
+            p1_field = special_p1_field(case.mode, constants)
         except ValueError as exc:
             raise UsageError(f"--with-p1: {exc}, "
                              f"got {len(constants)}") from exc
     _check_out(args.out)
-    case = WedgeCase(half_angle_a=half_angle, mode=mode)
 
     entries = admissible_eigenvalues(case, nu)
     if not 0 <= args.eig_index < len(entries):
@@ -374,8 +378,9 @@ def cmd_field(args) -> int:
     if p1_field is not None:
         field = field + p1_field
 
-    thetas = np.linspace(-half_angle, half_angle, args.theta_steps)
-    keys = PLANE_FIELD_KEYS if mode.is_plane else ANTIPLANE_FIELD_KEYS
+    a = case.half_angle_a
+    thetas = np.linspace(-a, a, args.theta_steps)
+    keys = PLANE_FIELD_KEYS if case.mode.is_plane else ANTIPLANE_FIELD_KEYS
     series = field_series_map(field, material)
     grid = np.empty((len(radii), len(thetas), len(keys)))
     r_col, theta_row = np.array(radii)[:, None], thetas[None, :]
@@ -385,51 +390,45 @@ def cmd_field(args) -> int:
     return 0
 
 
-def _equilibrium_field(args, mode_flag: str, material: MaterialParams,
-                       half_angle: float):
+def _equilibrium_field(args, case: WedgeCase, material: MaterialParams):
     """Displacement field and exponent for one equilibrium scenario."""
-    nu = material.nu
     amps = _parse_floats(args.amps, "--amps")
-    if mode_flag in ("I", "II"):
+    if args.mode in ("I", "II"):
         if abs(args.angle_deg - 180.0) > 1e-9:
-            raise UsageError(f"mode {mode_flag} is the crack case; "
+            raise UsageError(f"mode {args.mode} is the crack case; "
                              f"--angle-deg must be 180, "
                              f"got {args.angle_deg:g}")
-        mode = Mode.PLANE_SYM if mode_flag == "I" else Mode.PLANE_ANTI
-        case = WedgeCase(half_angle_a=half_angle, mode=mode)
         if len(amps) != 2:
-            names = "A1,A2" if mode_flag == "I" else "B1,B2"
-            raise UsageError(f"mode {mode_flag} expects --amps {names} "
+            names = "A1,A2" if args.mode == "I" else "B1,B2"
+            raise UsageError(f"mode {args.mode} expects --amps {names} "
                              f"(2 values), got {len(amps)}")
-        std = crack_mode_std_amplitudes(mode_flag, amps, nu)
+        std = crack_mode_std_amplitudes(args.mode, amps, material.nu)
         sol = solution_from_amplitudes(case, material, 1.5, [std])
         return sol.fields[0], 1.5
-    mode = (Mode.PLANE_SYM if mode_flag == "notch-sym" else Mode.PLANE_ANTI)
-    case = WedgeCase(half_angle_a=half_angle, mode=mode)
     try:
-        p = smallest_exponents(case, nu).p
+        p = smallest_exponents(case, material.nu).p
     except NoRootFound as exc:
         raise UsageError(str(exc)) from exc
     sol = eigenfield(case, material, p)
     if len(amps) != sol.nullity:
         raise UsageError(f"--amps expects {sol.nullity} coefficient(s) "
                          f"(the nullity at p = {p:.12g}), got {len(amps)}")
-    return sol.combined_field(list(amps), include_p1=False), p
+    return sol.combined_field(list(amps)), p
 
 
 def cmd_equilibrium(args) -> int:
     if args.mode in ("III", "III-na"):
         print(f"error: {_ANTIPLANE_EQUILIBRIUM_MSG}", file=sys.stderr)
         return 1
-    half_angle = _check_angle(args.angle_deg)
-    material = _material(args, _resolve_nu(args, Mode.PLANE_SYM))
+    case, _, material = _case(args, _EQUILIBRIUM_MODES[args.mode])
     if not 0.0 < args.r0 < math.inf:
         raise UsageError(f"--r0 must be positive and finite, "
                          f"got {args.r0:g}")
 
-    field, p = _equilibrium_field(args, args.mode, material, half_angle)
+    field, p = _equilibrium_field(args, case, material)
     try:
-        report = check_equilibrium(field, material, args.r0, half_angle)
+        report = check_equilibrium(field, material, args.r0,
+                                   case.half_angle_a)
     except QuadratureDisagreement as exc:
         print(f"error: arc quadrature failed to converge: {exc}",
               file=sys.stderr)
@@ -458,13 +457,8 @@ def cmd_equilibrium(args) -> int:
         "nu": args.nu,
         "r0": args.r0,
         "p": p,
-        "arc": {"h": report.arc.h, "v": report.arc.v, "t": report.arc.t},
-        "corners": {
-            "e_r_a": corners.e_r_a, "e_t_a": corners.e_t_a,
-            "e_x_a": corners.e_x_a, "e_y_a": corners.e_y_a,
-            "e_r_b": corners.e_r_b, "e_t_b": corners.e_t_b,
-            "e_x_b": corners.e_x_b, "e_y_b": corners.e_y_b,
-        },
+        "arc": vars(report.arc),
+        "corners": vars(corners),
         "sum_fx": report.sum_fx,
         "sum_fy": report.sum_fy,
         "sum_moment": report.sum_moment,
@@ -493,13 +487,7 @@ def cmd_check(args) -> int:
         "suite": report.suite,
         "seed": report.seed,
         "passed": report.passed,
-        "checks": [{
-            "name": check.name,
-            "passed": check.passed,
-            "value": check.value,
-            "tol": check.tol,
-            "detail": check.detail,
-        } for check in report.checks],
+        "checks": [vars(check) for check in report.checks],
     }
     sys.stdout.write("\n".join(lines) + "\n" + _to_json(doc) + "\n")
     return 0 if report.passed else 2
@@ -508,14 +496,6 @@ def cmd_check(args) -> int:
 # ----------------------------------------------------------------------
 # parser assembly
 # ----------------------------------------------------------------------
-
-def _add_material_flags(parser) -> None:
-    parser.add_argument("--mu", type=float, default=1.0,
-                        help="shear modulus (default 1)")
-    parser.add_argument("--c", type=float, default=1.0,
-                        help="gradient coefficient, units length^2 "
-                             "(default 1)")
-
 
 # built once per process: a build costs a large share of a small eig
 # request
@@ -528,27 +508,38 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p_eig = sub.add_parser(
-        "eig", help="admissible exponents and eigenfield amplitudes (JSON)")
-    p_eig.add_argument("--mode", required=True, choices=sorted(_MODE_BY_LABEL))
-    p_eig.add_argument("--angle-deg", type=float, required=True,
+    # flags shared by several subcommands, each declared once
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", required=True, choices=sorted(_MODE_BY_LABEL))
+    nu = argparse.ArgumentParser(add_help=False)
+    nu.add_argument("--nu", type=float, default=None, help=_NU_HELP)
+    wedge = argparse.ArgumentParser(add_help=False)
+    wedge.add_argument("--angle-deg", type=float, required=True,
                        help="notch half-angle in degrees, 90..180")
-    p_eig.add_argument("--nu", type=float, default=None,
-                       help=_NU_HELP)
-    p_eig.add_argument("--p-max", type=float, default=None,
-                       help=f"upper end of the exponent scan (default 4, "
-                            f"at most {_MAX_P:g})")
-    p_eig.add_argument("--tol", type=float, default=None,
+    wedge.add_argument("--mu", type=float, default=1.0,
+                       help="shear modulus (default 1)")
+    wedge.add_argument("--c", type=float, default=1.0,
+                       help="gradient coefficient, units length^2 "
+                            "(default 1)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-",
+                     help="output path, '-' for stdout (default)")
+
+    p_eig = sub.add_parser(
+        "eig", parents=[mode, nu, wedge],
+        help="admissible exponents and eigenfield amplitudes (JSON)")
+    p_eig.add_argument("--p-max", type=float, default=RootScanOptions.p_max,
+                       help=f"upper end of the exponent scan (default "
+                            f"%(default)g, at most {_MAX_P:g})")
+    p_eig.add_argument("--tol", type=float,
+                       default=RootScanOptions.refine_tol,
                        help=f"root refinement tolerance, in "
-                            f"(0, {_MAX_TOL:g}] (default 1e-12)")
-    _add_material_flags(p_eig)
+                            f"(0, {_MAX_TOL:g}] (default %(default)g)")
     p_eig.set_defaults(func=cmd_eig)
 
     p_sweep = sub.add_parser(
-        "sweep", help="smallest exponent vs. half-angle (CSV)")
-    p_sweep.add_argument("--mode", required=True,
-                         choices=sorted(_MODE_BY_LABEL))
-    p_sweep.add_argument("--nu", type=float, default=None, help=_NU_HELP)
+        "sweep", parents=[mode, nu, out],
+        help="smallest exponent vs. half-angle (CSV)")
     p_sweep.add_argument("--from", dest="from_deg", type=float, required=True,
                          help="first half-angle in degrees")
     p_sweep.add_argument("--to", dest="to_deg", type=float, required=True,
@@ -556,17 +547,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--step", type=float, default=0.5,
                          help=f"angle increment in degrees (default 0.5); "
                               f"at most {_MAX_SWEEP_ANGLES} angles")
-    p_sweep.add_argument("--out", default="-",
-                         help="output path, '-' for stdout (default)")
-    _add_material_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_field = sub.add_parser(
-        "field", help="field components on an (r, theta) grid (CSV)")
-    p_field.add_argument("--mode", required=True,
-                         choices=sorted(_MODE_BY_LABEL))
-    p_field.add_argument("--angle-deg", type=float, required=True)
-    p_field.add_argument("--nu", type=float, default=None, help=_NU_HELP)
+        "field", parents=[mode, nu, wedge, out],
+        help="field components on an (r, theta) grid (CSV)")
     p_field.add_argument("--eig-index", type=int, required=True,
                          help="index into the admissible-exponent list "
                               "(0 = constant-strain p = 1 entry)")
@@ -581,26 +566,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--with-p1", default=None,
                          help="attach a constant-strain part: c1,c3 for "
                               "ps-sym, c2 for ps-anti, e for ap")
-    p_field.add_argument("--out", default="-",
-                         help="output path, '-' for stdout (default)")
-    _add_material_flags(p_field)
     p_field.set_defaults(func=cmd_field)
 
     p_eq = sub.add_parser(
-        "equilibrium", help="force/moment balance of the sector r <= r0")
+        "equilibrium", parents=[nu, wedge],
+        help="force/moment balance of the sector r <= r0")
     p_eq.add_argument("--mode", required=True,
-                      choices=["I", "II", "III", "III-na", "notch-sym",
-                               "notch-anti"],
+                      choices=sorted([*_EQUILIBRIUM_MODES, "III", "III-na"]),
                       help="I/II: crack modes with --amps A1,A2 / B1,B2; "
                            "notch-sym/notch-anti: smallest-root eigenfield "
                            "with null-space coefficients; III is rejected")
-    p_eq.add_argument("--angle-deg", type=float, required=True)
     p_eq.add_argument("--amps", required=True)
-    p_eq.add_argument("--nu", type=float, default=None,
-                      help="Poisson ratio in (-1, 0.5); required")
     p_eq.add_argument("--r0", type=float, default=1.0,
                       help="sector radius (default 1)")
-    _add_material_flags(p_eq)
     p_eq.set_defaults(func=cmd_equilibrium)
 
     p_check = sub.add_parser("check", help="run the verification suite")
@@ -616,9 +594,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return int(code) if isinstance(code, int) else (0 if code is None
-                                                        else 1)
+        # argparse exits with 0 after --help and 1 on a usage error
+        return exc.code
     try:
         return args.func(args)
     except UsageError as exc:

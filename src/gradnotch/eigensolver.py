@@ -89,10 +89,20 @@ class NoRootFound(Exception):
 @dataclass(frozen=True)
 class RootScanOptions:
     """Upper end of the scan window (p_max) and the root refinement
-    tolerance (refine_tol) for find_roots."""
+    tolerance (refine_tol) for find_roots. A scan ends only for a finite
+    p_max above 1 + 1e-6 and a finite refine_tol >= 0 (0 refines to full
+    precision); other values raise ValueError."""
 
     p_max: float = 4.0
     refine_tol: float = 1e-12
+
+    def __post_init__(self):
+        if not _P_MIN < self.p_max < math.inf:
+            raise ValueError(f"p_max must be finite and exceed {_P_MIN!r}, "
+                             f"got {self.p_max!r}")
+        if not 0.0 <= self.refine_tol < math.inf:
+            raise ValueError(f"refine_tol must be finite and non-negative, "
+                             f"got {self.refine_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -166,8 +176,6 @@ class _Scan:
 
     def __init__(self, case: WedgeCase, nu, options: RootScanOptions | None):
         opts = options or RootScanOptions()
-        if not opts.p_max > _P_MIN:
-            raise ValueError(f"p_max must exceed {_P_MIN!r}")
         self.case, self.nu = case, nu
         self.tol = opts.refine_tol
         self.top = opts.p_max + _CLUSTER_MERGE

@@ -76,8 +76,6 @@ class ArcResultants:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    r0: float
-    half_angle_a: float
     arc: ArcResultants
     corners: CornerForces
     sum_fx: float
@@ -239,6 +237,6 @@ def check_equilibrium(field: DisplacementField, material: MaterialParams,
     residuals = (abs(sum_fx), abs(sum_fy), abs(sum_moment) / r0)
     passed = all(res <= EQUILIBRIUM_TOL * scale for res in residuals)
     return EquilibriumReport(
-        r0=r0, half_angle_a=half_angle_a, arc=arc, corners=corners,
-        sum_fx=sum_fx, sum_fy=sum_fy, sum_moment=sum_moment,
-        scale=scale, tol=EQUILIBRIUM_TOL, residuals=residuals, passed=passed)
+        arc=arc, corners=corners, sum_fx=sum_fx, sum_fy=sum_fy,
+        sum_moment=sum_moment, scale=scale, tol=EQUILIBRIUM_TOL,
+        residuals=residuals, passed=passed)

@@ -136,9 +136,10 @@ def _canonical(raw_terms) -> tuple:
 
     Normalization maps freq < 0 onto freq > 0 (cos is even, sin is odd),
     snaps |freq| and |r_exp| below KEY_TOL to zero, and drops sin terms of
-    zero frequency. Terms sharing (kind, freq, r_exp) within KEY_TOL are
-    merged by adding coefficients; coefficients smaller than PRUNE_REL of
-    the largest surviving coefficient are dropped.
+    zero frequency. Terms are sorted by (r_exp, freq, kind), neighbours
+    sharing that key within KEY_TOL are merged by adding coefficients, and
+    coefficients smaller than PRUNE_REL of the largest surviving
+    coefficient are dropped.
     """
     norm = []
     for coef, r_exp, freq, kind in raw_terms:
@@ -159,23 +160,21 @@ def _canonical(raw_terms) -> tuple:
                 coef = -coef
         if abs(r_exp) <= KEY_TOL:
             r_exp = 0.0
-        norm.append((kind, freq, r_exp, coef))
+        norm.append((r_exp, freq, kind, coef))
 
-    norm.sort(key=lambda t: (t[0], t[1], t[2]))
+    # one stable sort into storage order: equal keys stay in input order
+    norm.sort(key=lambda t: t[:3])
     merged = []
-    for kind, freq, r_exp, coef in norm:
+    for r_exp, freq, kind, coef in norm:
         if merged:
-            k0, f0, e0, c0 = merged[-1]
+            e0, f0, k0, c0 = merged[-1]
             if kind == k0 and abs(freq - f0) <= KEY_TOL and abs(r_exp - e0) <= KEY_TOL:
-                merged[-1] = (k0, f0, e0, c0 + coef)
+                merged[-1] = (e0, f0, k0, c0 + coef)
                 continue
-        merged.append((kind, freq, r_exp, coef))
+        merged.append((r_exp, freq, kind, coef))
 
-    big = max((abs(c) for _, _, _, c in merged), default=0.0)
-    cut = PRUNE_REL * big
-    kept = [Term(c, e, f, k) for k, f, e, c in merged if abs(c) > cut]
-    kept.sort(key=lambda t: (t.r_exp, t.freq, t.kind))
-    return tuple(kept)
+    cut = PRUNE_REL * max((abs(t[3]) for t in merged), default=0.0)
+    return tuple(Term(c, e, f, k) for e, f, k, c in merged if abs(c) > cut)
 
 
 @dataclass(frozen=True)
@@ -208,8 +207,7 @@ class PolarSeries:
                                  for t in self.terms))
 
     def __add__(self, other: "PolarSeries") -> "PolarSeries":
-        return PolarSeries(tuple((t.coef, t.r_exp, t.freq, t.kind)
-                                 for t in self.terms + other.terms))
+        return PolarSeries(self.terms + other.terms)
 
     def __sub__(self, other: "PolarSeries") -> "PolarSeries":
         return self + other.scaled(-1.0)

@@ -218,8 +218,6 @@ class EnergyScaling:
 
     exponent_exact: float
     exponent_estimate: float
-    u_hi: float
-    u_lo: float
 
 
 def energy_scaling(sol: EigenSolution) -> EnergyScaling:
@@ -257,8 +255,7 @@ def energy_scaling(sol: EigenSolution) -> EnergyScaling:
     exact = min(t.r_exp for t in angular.terms) + 2.0
     u_hi, u_lo = u_of(_ENERGY_R_HI), u_of(_ENERGY_R_HI / 2.0)
     estimate = math.log(u_hi / u_lo) / math.log(2.0)
-    return EnergyScaling(exponent_exact=exact, exponent_estimate=estimate,
-                         u_hi=u_hi, u_lo=u_lo)
+    return EnergyScaling(exponent_exact=exact, exponent_estimate=estimate)
 
 
 # ----------------------------------------------------------------------

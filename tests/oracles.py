@@ -27,7 +27,9 @@ oracles are:
   gradient with the material constants (energy_density_from_strain),
   on series or, through MpJet, at one point in mpmath;
 - the determinant-zero check as a loop over its grid
-  (det_vs_charfn_loop).
+  (det_vs_charfn_loop);
+- the series canonical form that merges in (kind, freq, r_exp) order and
+  sorts again to store (canonical_two_sorts).
 """
 
 import math
@@ -38,8 +40,8 @@ from scipy.integrate import quad
 
 from gradnotch import basis
 from gradnotch.fields import face_rows
-from gradnotch.model import (KEY_TOL, DisplacementField, Mode, PolarSeries,
-                             assemble_field)
+from gradnotch.model import (KEY_TOL, PRUNE_REL, DisplacementField, Mode,
+                             PolarSeries, Term, assemble_field)
 
 
 # ----------------------------------------------------------------------
@@ -655,3 +657,48 @@ def det_vs_charfn_loop(case, nu=None):
 
     passed = max_root_ratio < 1e-6 and min_off_ratio > 1e-6
     return tuple(roots), max_root_ratio, min_off_ratio, passed
+
+
+# ----------------------------------------------------------------------
+# series canonical form, sorted twice
+# ----------------------------------------------------------------------
+
+def canonical_two_sorts(raw_terms) -> tuple:
+    """model._canonical as it merged before: sort by (kind, freq, r_exp)
+    to merge neighbours within KEY_TOL, prune, then sort the kept terms
+    by (r_exp, freq, kind) to store them."""
+    norm = []
+    for coef, r_exp, freq, kind in raw_terms:
+        coef = float(coef)
+        if coef == 0.0:
+            continue
+        r_exp = float(r_exp)
+        freq = float(freq)
+        if abs(freq) <= KEY_TOL:
+            if kind == "sin":
+                continue
+            freq = 0.0
+        elif freq < 0.0:
+            freq = -freq
+            if kind == "sin":
+                coef = -coef
+        if abs(r_exp) <= KEY_TOL:
+            r_exp = 0.0
+        norm.append((kind, freq, r_exp, coef))
+
+    norm.sort(key=lambda t: (t[0], t[1], t[2]))
+    merged = []
+    for kind, freq, r_exp, coef in norm:
+        if merged:
+            k0, f0, e0, c0 = merged[-1]
+            if (kind == k0 and abs(freq - f0) <= KEY_TOL
+                    and abs(r_exp - e0) <= KEY_TOL):
+                merged[-1] = (k0, f0, e0, c0 + coef)
+                continue
+        merged.append((kind, freq, r_exp, coef))
+
+    big = max((abs(c) for _, _, _, c in merged), default=0.0)
+    cut = PRUNE_REL * big
+    kept = [Term(c, e, f, k) for k, f, e, c in merged if abs(c) > cut]
+    kept.sort(key=lambda t: (t.r_exp, t.freq, t.kind))
+    return tuple(kept)

@@ -109,6 +109,12 @@ def test_eig_usage_errors(capsys):
                               "--mu", "-1"])
     assert rc == 1
 
+    # above 1 but not above the scan window's lower end 1 + 1e-6
+    rc, out, err = run(capsys, ["eig", "--mode", "ap", "--angle-deg", "120",
+                                "--p-max", "1.0000005"])
+    assert rc == 1 and out == ""
+    assert err.count("error:") == 1 and "--p-max" in err
+
     # a tolerance coarser than 1e-8 leaves roots unrefined and without
     # eigenfields
     for value in ("nan", "inf", "1e-3", "0", "-1e-12"):
@@ -193,6 +199,9 @@ def test_unbounded_work_is_refused_before_any_allocation(capsys,
     try:
         sweep = run(capsys, ["sweep", "--mode", "ap", "--from", "90",
                              "--to", "180", "--step", "1e-9"])
+        # the angle loop admits 1e-9 past --to, which the cap counts
+        tiny_step = run(capsys, ["sweep", "--mode", "ap", "--from", "90",
+                                 "--to", "90", "--step", "1e-300"])
         eig = run(capsys, ["eig", "--mode", "ap", "--angle-deg", "120",
                            "--p-max", "1e9"])
         big_grid = run(capsys, field + ["--r", "1,2",
@@ -203,6 +212,7 @@ def test_unbounded_work_is_refused_before_any_allocation(capsys,
     finally:
         tracemalloc.stop()
     assert sweep[0] == 1 and "10001 angles" in sweep[2]
+    assert tiny_step[:2] == (1, "") and "10001 angles" in tiny_step[2]
     assert eig[0] == 1 and "must not exceed 100" in eig[2]
     assert big_grid[0] == 1 and "at most 1000000 rows" in big_grid[2]
     assert non_finite[0] == 1 and "finite" in non_finite[2]
@@ -280,9 +290,21 @@ def test_sweep_usage_errors(capsys, monkeypatch, tmp_path):
                             "--to", "100", "--step", "0"])
     assert rc == 1
 
-    rc, _, _ = run(capsys, ["sweep", "--mode", "ap", "--from", "90",
-                            "--to", "100", "--step", "nan"])
-    assert rc == 1
+    for step in ("nan", "inf"):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "smallest_exponents", _no_work)
+            rc, out, err = run(capsys, ["sweep", "--mode", "ap",
+                                        "--from", "90", "--to", "100",
+                                        "--step", step])
+        assert rc == 1 and out == ""
+        assert err.count("error:") == 1 and "--step" in err
+
+    # the exponents do not depend on mu or c, so sweep takes neither
+    for flag in ("--mu", "--c"):
+        rc, out, err = run(capsys, ["sweep", "--mode", "ap", "--from", "90",
+                                    "--to", "91", flag, "2"])
+        assert rc == 1 and out == ""
+        assert f"unrecognized arguments: {flag} 2" in err
 
     rc, _, _ = run(capsys, ["sweep", "--mode", "ap", "--from", "30",
                             "--to", "100"])

@@ -121,6 +121,23 @@ def test_empty_scan_window_raises():
                            options=options)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"p_max": 1.0000005}, {"p_max": math.nan}, {"p_max": math.inf},
+    {"refine_tol": math.nan}, {"refine_tol": -1e-12},
+    {"refine_tol": math.inf},
+])
+def test_scan_options_refuse_a_scan_that_would_not_end(kwargs):
+    # only built: a scan with such a refine_tol never returns, and such a
+    # p_max leaves no finite scan window above 1 + 1e-6
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        RootScanOptions(**kwargs)
+
+
+def test_scan_options_accept_their_bounds():
+    options = RootScanOptions(p_max=1.0 + 2e-6, refine_tol=0.0)
+    assert (options.p_max, options.refine_tol) == (1.0 + 2e-6, 0.0)
+
+
 def test_full_scan_is_fast():
     start = time.perf_counter()
     find_roots(_case(2.3, Mode.PLANE_SYM), 0.3)

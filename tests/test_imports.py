@@ -1,13 +1,15 @@
-"""Every module-level import in the package is used, and every exported
-name has a user."""
+"""Every module-level import in the package is used, every exported
+name has a user, and every command-line option is read."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import gradnotch
+from gradnotch import cli
 
 PACKAGE = Path(gradnotch.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,3 +100,66 @@ def test_every_exported_name_has_a_user():
               for path in sorted((ROOT / "perfbench").rglob("*.py"))]
     assert len(trees) >= 8 and len(texts) >= 4
     assert _unreferenced_exports(trees, texts) == []
+
+
+def _reads_of_args(tree: ast.Module, name: str) -> set:
+    """Attributes that function `name` of tree reads off `args` (as
+    args.<attr> or getattr(args, "<attr>", ...)), with those read by the
+    module's functions it passes `args` to."""
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    reads, todo, seen = set(), [name], set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(funcs[fn]):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func,
+                                                           ast.Name):
+                passes_args = [isinstance(arg, ast.Name) and arg.id == "args"
+                               for arg in node.args]
+                if node.func.id in funcs and any(passes_args):
+                    todo.append(node.func.id)
+                elif (node.func.id == "getattr" and passes_args[:1] == [True]
+                      and isinstance(node.args[1], ast.Constant)):
+                    reads.add(node.args[1].value)
+    return reads
+
+
+def _options(parser: argparse.ArgumentParser) -> dict:
+    """{subcommand: (handler name, option dests)} of a parser whose
+    subcommands set their handler as the `func` default."""
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: (command.get_default("func").__name__,
+                   [action.dest for action in command._actions
+                    if not isinstance(action, argparse._HelpAction)])
+            for name, command in sub.choices.items()}
+
+
+def test_guard_flags_an_unread_option():
+    tree = ast.parse("def helper(args):\n    return args.b\n"
+                     "def handler(args):\n"
+                     "    return args.a + helper(args) + "
+                     "getattr(args, 'c', 0)\n"
+                     "def lone(args, other):\n"
+                     "    return args.a + helper(other)\n")
+    assert _reads_of_args(tree, "handler") == {"a", "b", "c"}
+    assert _reads_of_args(tree, "lone") == {"a"}
+
+
+def test_every_cli_option_is_read():
+    # an option no handler reads is accepted and silently ignored
+    tree = ast.parse(Path(cli.__file__).read_text())
+    options = _options(cli._build_parser())
+    assert sorted(options) == ["check", "eig", "equilibrium", "field",
+                               "sweep"]
+    unread = {name: [dest for dest in dests
+                     if dest not in _reads_of_args(tree, handler)]
+              for name, (handler, dests) in options.items()}
+    assert {name: dests for name, dests in unread.items() if dests} == {}

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gradnotch.model import PolarSeries
+from gradnotch.model import KEY_TOL, PolarSeries
 
 COEFS = st.floats(min_value=-100.0, max_value=100.0,
                   allow_nan=False, allow_infinity=False)
@@ -56,6 +56,31 @@ def test_negative_frequency_normalization():
 
 def test_zero_frequency_sine_vanishes():
     assert PolarSeries.single(7.0, 2.0, 0.0, "sin").is_zero
+
+
+# keys that are equal (after the snap to zero and the freq sign fold) or
+# at least 2 KEY_TOL apart, so that no merge depends on the sort order
+_NEAR = 2.5 * KEY_TOL
+MERGE_TERMS = st.tuples(
+    st.sampled_from([1.0, -1.0, 3.0, 0.5, 1e-15, -2.0e-15, 7.25, -7.25]),
+    st.sampled_from([-1.0, 0.0, 0.5 * KEY_TOL, -0.5 * KEY_TOL, 0.5,
+                     0.5 + _NEAR, 1.5, 2.0]),
+    st.sampled_from([0.0, 0.5 * KEY_TOL, -0.5 * KEY_TOL, 0.5, -0.5,
+                     0.5 + _NEAR, -0.5 - _NEAR, 1.0, 2.5]),
+    KINDS)
+
+
+@given(st.lists(MERGE_TERMS, max_size=24))
+@settings(max_examples=300)
+def test_one_sort_canonical_form_matches_two_sorts(raw):
+    # equal keys merge in their input order in both, so the sums agree to
+    # the last bit
+    def bits(terms):
+        return [(t.coef.hex(), t.r_exp.hex(), t.freq.hex(), t.kind)
+                for t in terms]
+
+    assert (bits(PolarSeries(tuple(raw)).terms)
+            == bits(oracles.canonical_two_sorts(raw)))
 
 
 @given(SERIES)
