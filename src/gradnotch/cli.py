@@ -18,7 +18,10 @@ output path means standard output. Text goes out through `_write_text`,
 which takes one string or an iterable of chunks: `field` streams its CSV
 one block of rows at a time and never builds the whole text. An --out
 path that cannot be written is a usage error; one whose directory is
-missing, or that names a directory, is refused before any solve.
+missing, or that names a directory, is refused before any solve. No
+inf or nan is written: a `field` grid or an `equilibrium` report whose
+values overflow a double is a usage error, and `_to_json` refuses a
+non-finite float.
 
 Each flag is declared once: `eig`, `field` and `equilibrium` share
 --angle-deg, --mu and --c through one parent parser, and `_case` turns
@@ -117,7 +120,8 @@ def _fmt(value: float) -> str:
 
 
 def _to_json(obj) -> str:
-    """Compact JSON with sorted keys and 17-digit floats."""
+    """Compact JSON with sorted keys and 17-digit floats. A non-finite
+    float raises ValueError, as json.dumps(allow_nan=False) does."""
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -127,6 +131,8 @@ def _to_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"{obj!r} is not a JSON number")
         return _fmt(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_to_json(v) for v in obj) + "]"
@@ -384,8 +390,13 @@ def cmd_field(args) -> int:
     series = field_series_map(field, material)
     grid = np.empty((len(radii), len(thetas), len(keys)))
     r_col, theta_row = np.array(radii)[:, None], thetas[None, :]
-    for j, key in enumerate(keys):
-        grid[:, :, j] = series[key].eval(r_col, theta_row)
+    # an overflow is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, key in enumerate(keys):
+            grid[:, :, j] = series[key].eval(r_col, theta_row)
+    if not np.isfinite(grid).all():
+        raise UsageError(f"the field is not finite at --amps {args.amps} "
+                         f"and --r {args.r}: it overflows a double")
     _write_text(args.out, _field_csv(keys, radii, thetas, grid))
     return 0
 
@@ -466,7 +477,13 @@ def cmd_equilibrium(args) -> int:
         "tol": report.tol,
         "passed": report.passed,
     }
-    sys.stdout.write("\n".join(text) + "\n" + _to_json(doc) + "\n")
+    try:
+        payload = _to_json(doc)
+    except ValueError as exc:
+        raise UsageError(f"the sector balance is not finite at --r0 "
+                         f"{args.r0:g} and --amps {args.amps}: it overflows "
+                         f"a double") from exc
+    sys.stdout.write("\n".join(text) + "\n" + payload + "\n")
     return 0 if report.passed else 2
 
 

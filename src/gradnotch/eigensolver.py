@@ -25,15 +25,21 @@ The derivative is exact to rounding: the brackets accept complex p, and
 f'(p) = Im f(p + ih) / h with h = 1e-30 (the complex-step method, Squire
 and Trapp 1998), which involves no difference of nearby values.
 
-The grid is one numpy evaluation of the bracket; every point evaluation
-after it (Brent's steps on f and f', the dip test, the merge) goes
-through the same bracket formula with lib=math, or lib=cmath for the
-complex step, which avoids a 0-d array round trip per point.
+The grid is evaluated through numpy in ascending parts, one call each:
+find_roots takes it as one part, and smallest_exponents first takes the
+cells up to p = 2.025 (the smallest root lies in [1.5, 2] at every wedge
+angle) and the rest only if a trigger there can still hold the smallest
+root. The grid scale is evaluated only when a dip is reached, and it
+evaluates the whole grid. Every point evaluation after the grid (Brent's
+steps on f and f', the dip test, the merge) goes through the same
+bracket formula with lib=math, or lib=cmath for the complex step, which
+avoids a 0-d array round trip per point.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -59,6 +65,9 @@ __all__ = [
 # separately, not by scanning)
 _P_MIN = 1.0 + 1e-6
 _GRID_STEP = 1e-3
+# cells of the first part of a smallest-root scan (up to p = 2.025): the
+# smallest root lies in [1.5, 2] at every wedge angle
+_FIRST_CELLS = 1024
 # refined roots closer than this are one root
 _CLUSTER_MERGE = 1e-9
 # dip candidate filter and touch acceptance threshold, relative to the
@@ -130,6 +139,11 @@ class ExponentSummary:
         return cls(p=p, exp_monopolar=p - 1.0, exp_total=p - 3.0)
 
 
+def _grid(k):
+    """Scan grid point(s) of index k."""
+    return _P_MIN + _GRID_STEP * k
+
+
 def _brent(f, a, b, fa, fb, tol):
     """Zero of f in [a, b], where fa = f(a) and fb = f(b) differ in sign
     or one is zero (Brent 1973, ch. 4): bracketed inverse quadratic and
@@ -172,7 +186,14 @@ def _brent(f, a, b, fa, fb, tol):
 
 class _Scan:
     """The bracket of one case, its exact derivative, and the triggers of
-    its grid scan."""
+    its grid scan.
+
+    The grid p_k = _P_MIN + _GRID_STEP * k is only sized here and is
+    evaluated in ascending parts, one numpy call each, as the triggers
+    are consumed. The scale max(1, max|f|) over the scan window evaluates
+    the whole grid; the dip filter and the touch test read it only when
+    the scan reaches a dip. The values, and so the triggers, are the same
+    however the grid is cut into parts."""
 
     def __init__(self, case: WedgeCase, nu, options: RootScanOptions | None):
         opts = options or RootScanOptions()
@@ -181,25 +202,61 @@ class _Scan:
         self.top = opts.p_max + _CLUSTER_MERGE
         n = max(int(round((opts.p_max - _P_MIN) / _GRID_STEP)), 2)
         # two extra cells past p_max so endpoint roots are still bracketed
-        grid = _P_MIN + _GRID_STEP * np.arange(n + 3)
-        vals = np.asarray(char_bracket(grid, case, nu), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("the bracket is not finite on the scan grid")
-        self.scale = max(1.0, float(np.max(np.abs(vals[grid <= self.top]))))
+        self.points = n + 3
+        self.vals = np.empty(self.points)
+        self.done = 0
 
-        sign = np.sign(vals)
-        absv = np.abs(vals)
-        mid = np.arange(1, len(grid) - 1)
-        dips = mid[(absv[mid] <= absv[mid - 1]) & (absv[mid] <= absv[mid + 1])
-                   & (sign[mid - 1] == sign[mid]) & (sign[mid] == sign[mid + 1])
-                   & (absv[mid] < _CANDIDATE_REL * self.scale)]
-        crossings = np.nonzero(sign[:-1] != sign[1:])[0]
-        cells = sorted([(i, i + 1, False) for i in crossings]
-                       + [(i - 1, i + 1, True) for i in dips])
-        # (lo, hi, is_dip), ascending: a sign change of f across [lo, hi]
-        # or a dip of |f| at its midpoint
-        self.triggers = [(float(grid[lo]), float(grid[hi]), dip)
-                         for lo, hi, dip in cells]
+    def _values(self, stop):
+        """f on grid points [0, stop), evaluating the missing ones
+        [done, stop) in one numpy call."""
+        if stop > self.done:
+            part = np.asarray(char_bracket(_grid(np.arange(self.done, stop)),
+                                           self.case, self.nu), dtype=float)
+            if not np.all(np.isfinite(part)):
+                raise ValueError("the bracket is not finite on the scan grid")
+            self.vals[self.done:stop] = part
+            self.done = stop
+        return self.vals[:stop]
+
+    @functools.cached_property
+    def scale(self):
+        """max(1, max|f|) over the grid points inside the scan window."""
+        vals = self._values(self.points)
+        inside = _grid(np.arange(self.points)) <= self.top
+        return max(1.0, float(np.max(np.abs(vals[inside]))))
+
+    def triggers(self, first=None, beyond=None):
+        """(lo, hi, is_dip) of each trigger, ascending: a sign change of f
+        across [lo, hi] or a dip of |f| at its midpoint.
+
+        Cells [0, first) are evaluated as one part and the rest as a
+        second (first=None: all cells in one). If beyond(p) holds for the
+        lower end p of the next cell, the scan ends there, before it
+        evaluates another part or reads the scale.
+        """
+        cells = self.points - 1
+        start = 0
+        for stop in (cells if first is None else min(first, cells), cells):
+            if stop <= start:
+                continue
+            if beyond and beyond(_grid(start)):
+                return
+            vals = self._values(min(stop + 2, self.points))
+            sign, absv = np.sign(vals), np.abs(vals)
+            k = np.arange(start, stop)
+            crossings = k[sign[k] != sign[k + 1]]
+            k = k[k < cells - 1]
+            dips = k[(absv[k + 1] <= absv[k]) & (absv[k + 1] <= absv[k + 2])
+                     & (sign[k] == sign[k + 1]) & (sign[k + 1] == sign[k + 2])]
+            for lo, dip in sorted([(i, False) for i in crossings.tolist()]
+                                  + [(i, True) for i in dips.tolist()]):
+                p = _grid(lo)
+                if beyond and beyond(p):
+                    return
+                if dip and not absv[lo + 1] < _CANDIDATE_REL * self.scale:
+                    continue
+                yield p, _grid(lo + 2 if dip else lo + 1), dip
+            start = stop
 
     def f(self, p):
         return char_bracket(p, self.case, self.nu, math)
@@ -253,7 +310,7 @@ def find_roots(case: WedgeCase, nu=None, options: RootScanOptions | None = None)
     dips.
     """
     scan = _Scan(case, nu, options)
-    return scan.merged(sorted(p for trigger in scan.triggers
+    return scan.merged(sorted(p for trigger in scan.triggers()
                               for p in scan.roots(*trigger)))
 
 
@@ -276,13 +333,14 @@ def smallest_exponents(case: WedgeCase, nu=None,
 
     The scan refines triggers in ascending order and stops once no later
     trigger can hold a root that would merge with the smallest one, so the
-    result equals find_roots(...)[0].
+    result equals find_roots(...)[0]. It evaluates the grid up to
+    p = 2.025 first and the rest only when a trigger past that, or the
+    scale a dip reads, is still needed.
     """
     scan = _Scan(case, nu, options)
     found = []
-    for trigger in scan.triggers:
-        if found and trigger[0] > found[-1] + _CLUSTER_MERGE:
-            break
+    for trigger in scan.triggers(
+            _FIRST_CELLS, lambda p: found and p > found[-1] + _CLUSTER_MERGE):
         found = sorted(found + scan.roots(*trigger))
     if not found:
         raise NoRootFound(

@@ -11,6 +11,8 @@ oracles are:
 - a plain bisection root finder and second transcriptions of the three
   characteristic bracket functions, with their roots at 30 digits
   (mpmath);
+- the root scanner's triggers and scale from one numpy evaluation of
+  its whole grid (scan_triggers_one_shot);
 - closed-form crack-tip corner forces and arc tractions for the symmetric
   and anti-symmetric in-plane crack modes;
 - the u_theta/u_r coupling ratio of the third plane basis member;
@@ -123,6 +125,30 @@ def bracket_antiplane(p, a, nu=None, lib=math):
 
 BRACKETS = {"plane-sym": bracket_plane_sym, "plane-anti": bracket_plane_anti,
              "antiplane-odd": bracket_antiplane}
+
+
+def scan_triggers_one_shot(case, nu, p_max=4.0):
+    """The root scanner's (triggers, scale) with its whole grid evaluated
+    in one numpy call: the grid p_k = 1 + 1e-6 + 1e-3 k runs two cells
+    past p_max, the scale is max(1, max|f|) over p <= p_max + 1e-9, and
+    a trigger is a sign change across a cell or a dip, a local minimum
+    of |f| with no sign change below 1e-3 of the scale."""
+    from gradnotch.charfn import char_bracket
+
+    n = max(int(round((p_max - (1.0 + 1e-6)) / 1e-3)), 2)
+    grid = (1.0 + 1e-6) + 1e-3 * np.arange(n + 3)
+    vals = np.asarray(char_bracket(grid, case, nu), dtype=float)
+    scale = max(1.0, float(np.max(np.abs(vals[grid <= p_max + 1e-9]))))
+    sign, absv = np.sign(vals), np.abs(vals)
+    triggers = []
+    for i in range(len(grid) - 1):
+        if sign[i] != sign[i + 1]:
+            triggers.append((float(grid[i]), float(grid[i + 1]), False))
+        elif (i + 2 < len(grid) and sign[i + 1] == sign[i + 2]
+              and absv[i + 1] <= absv[i] and absv[i + 1] <= absv[i + 2]
+              and absv[i + 1] < 1e-3 * scale):
+            triggers.append((float(grid[i]), float(grid[i + 2]), True))
+    return triggers, scale
 
 
 def mp_root(mode_label, angle_deg, nu, lo, hi, touch=False):

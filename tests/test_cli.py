@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -538,6 +539,23 @@ def test_field_usage_errors(capsys, monkeypatch, tmp_path):
                    "(E), got 2\n")
 
 
+def test_field_that_overflows_is_refused_without_output(capsys, tmp_path):
+    # amplitude 1e300 at r = 1e-300 overflows the gradient stresses: one
+    # error line, no numpy warning and no --out file
+    out_path = tmp_path / "f.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, ["field", "--mode", "ap",
+                                    "--angle-deg", "180", "--eig-index", "1",
+                                    "--amps", "1e300", "--r", "1e-300",
+                                    "--theta-steps", "2",
+                                    "--out", str(out_path)])
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "--amps 1e300" in err and "--r 1e-300" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--mode", "ap", "--from", "90", "--to", "91"],
     ["field", "--mode", "ap", "--angle-deg", "180", "--eig-index", "1",
@@ -645,6 +663,35 @@ def test_equilibrium_usage_errors(capsys, monkeypatch):
                                     *extra])
         assert rc == 1 and out == ""
         assert extra[-2] in err and "finite" in err
+
+
+def test_equilibrium_that_overflows_is_refused(capsys):
+    # r0 = 1e300 overflows the arc moment: one error line, no report
+    rc, out, err = run(capsys, ["equilibrium", "--mode", "I",
+                                "--angle-deg", "180", "--nu", "0.3",
+                                "--amps", "1,0", "--r0", "1e300"])
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "--r0 1e+300" in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   np.float64("nan"), [1.0, {"x": math.inf}]])
+def test_json_refuses_non_finite_numbers(value):
+    with pytest.raises(ValueError):
+        json.dumps(value, allow_nan=False)
+    with pytest.raises(ValueError):
+        cli._to_json(value)
+
+
+def test_json_keeps_finite_numbers():
+    doc = {"b": [0.1, -0.0, 5e-324, 1.7976931348623157e308, np.float64(2)],
+           "a": None}
+    assert cli._to_json(doc) == ('{"a":null,"b":[0.10000000000000001,-0,'
+                                 '4.9406564584124654e-324,'
+                                 '1.7976931348623157e+308,2]}')
+    assert json.loads(cli._to_json(doc)) == json.loads(
+        json.dumps(doc, default=float))
 
 
 # ----------------------------------------------------------------------

@@ -195,13 +195,24 @@ def test_close_pairs_near_the_limits_match_mpmath(mode, angle_deg, limits):
         assert abs(p - ref) <= REFINE_TOL
 
 
-@pytest.mark.parametrize("mode,nu", [
+# near both ends of (-1, 0.5), zero, and the near-triple region around
+# 0.36
+SCAN_NUS = (-0.9, -0.5, 0.0, 0.3, 0.36, 0.4999)
+FIRST_ROOT_CASES = [
     (Mode.PLANE_SYM, 0.3), (Mode.PLANE_ANTI, 0.3),
     (Mode.ANTIPLANE_ODD, None),
-])
+] + [(mode, nu) for mode in (Mode.PLANE_SYM, Mode.PLANE_ANTI)
+     for nu in SCAN_NUS if nu != 0.3]
+# the angles of the built-in sweep suite, and 0.05-degree sweeps next to
+# both limits, where touch roots split into close pairs
+FIRST_ROOT_ANGLES = np.concatenate([np.arange(90.0, 180.5, 1.0),
+                                    90.0 + 0.05 * np.arange(21),
+                                    179.0 + 0.05 * np.arange(21)])
+
+
+@pytest.mark.parametrize("mode,nu", FIRST_ROOT_CASES)
 def test_smallest_exponent_is_the_first_root_bit_for_bit(mode, nu):
-    # the angles of the built-in sweep suite
-    for angle_deg in np.arange(90.0, 180.5, 1.0):
+    for angle_deg in FIRST_ROOT_ANGLES:
         case = _case(math.radians(angle_deg), mode)
         assert smallest_exponents(case, nu).p == find_roots(case, nu)[0]
 
@@ -218,30 +229,79 @@ def test_importing_the_cli_does_not_import_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def _record_bracket_args(monkeypatch):
+def _record_bracket_args(monkeypatch, grids=None):
     """The type of p and the library of each bracket evaluation of the
-    scanner."""
+    scanner; the p of each numpy evaluation is appended to grids."""
     seen = []
 
     def recorded(p, case, nu=None, lib=np):
         seen.append((type(p), lib.__name__))
+        if grids is not None and lib is np:
+            grids.append(np.array(p))
         return char_bracket(p, case, nu, lib)
 
     monkeypatch.setattr(eigensolver, "char_bracket", recorded)
     return seen
 
 
-@pytest.mark.parametrize("scan", [find_roots, smallest_exponents])
-def test_only_the_scan_grid_goes_through_numpy(monkeypatch, scan):
-    # at 135 degrees the smallest plane-anti root, 5/3, is a touch root, so
-    # both calls refine on f' (complex p, cmath) as well as on f (float p,
-    # math)
-    seen = _record_bracket_args(monkeypatch)
+# the scan grid up to the default p_max = 4, two cells past it included
+SCAN_GRID = eigensolver._P_MIN + eigensolver._GRID_STEP * np.arange(3003)
+
+
+@pytest.mark.parametrize("scan,mode,angle_deg,parts", [
+    # one numpy call over the whole grid
+    (find_roots, Mode.PLANE_ANTI, 135.0, [3003]),
+    # the smallest plane-anti root, 5/3, is a touch root: its dip reads
+    # the scale, which evaluates the rest of the grid
+    (smallest_exponents, Mode.PLANE_ANTI, 135.0, [1026, 1977]),
+    # smallest roots at sign changes: the first part only, whether or
+    # not a later trigger lies in it
+    (smallest_exponents, Mode.PLANE_SYM, 131.8, [1026]),
+    (smallest_exponents, Mode.ANTIPLANE_ODD, 120.0, [1026]),
+])
+def test_only_the_scan_grid_goes_through_numpy(monkeypatch, scan, mode,
+                                                angle_deg, parts):
+    grids = []
+    seen = _record_bracket_args(monkeypatch, grids)
+    nu = None if mode is Mode.ANTIPLANE_ODD else 0.3
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NoSignChange)
-        scan(_case(3.0 * math.pi / 4.0, Mode.PLANE_ANTI), 0.3)
-    assert seen[0] == (np.ndarray, "numpy")
-    assert set(seen[1:]) == {(float, "math"), (complex, "cmath")}
+        scan(_case(math.radians(angle_deg), mode), nu)
+    assert [len(grid) for grid in grids] == parts
+    # ascending parts of the one grid with no overlap and no gap
+    covered = np.concatenate(grids)
+    assert np.array_equal(covered, SCAN_GRID[:len(covered)])
+    assert seen.count((np.ndarray, "numpy")) == len(parts)
+    others = set(seen) - {(np.ndarray, "numpy")}
+    # a touch root refines on f' (complex p, cmath) as well as on f
+    assert others == ({(float, "math"), (complex, "cmath")}
+                      if angle_deg == 135.0 else {(float, "math")})
+
+
+SCAN_ANGLES = (90.0, 90.0001, 90.05, 90.3, 135.0, 150.0, 179.7, 179.95,
+               179.9999, 180.0, 97.1634, 118.42, 141.077, 166.5391)
+# windows shorter than the first part, one whose cells end on its
+# boundary (p_max 2.022001: 1024 cells), one a cell past it, and longer
+SCAN_P_MAX = (1.5, 2.0, 2.022001, 2.023001, 2.025, 4.0, 10.0)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_chunked_scan_equals_the_one_shot_scan(mode):
+    # the triggers and the scale do not depend on how the grid is cut into
+    # parts, nor on whether the scale is read before the triggers
+    nus = [None] if mode is Mode.ANTIPLANE_ODD else SCAN_NUS
+    for nu in nus:
+        for angle_deg in SCAN_ANGLES:
+            case = _case(math.radians(angle_deg), mode)
+            for p_max in SCAN_P_MAX:
+                ref = oracles.scan_triggers_one_shot(case, nu, p_max)
+                options = RootScanOptions(p_max=p_max)
+                for first in (None, 1, 500, eigensolver._FIRST_CELLS):
+                    scan = eigensolver._Scan(case, nu, options)
+                    assert (list(scan.triggers(first)), scan.scale) == ref, \
+                        (nu, angle_deg, p_max, first)
+                scan = eigensolver._Scan(case, nu, options)
+                assert (scan.scale, list(scan.triggers(1))) == ref[::-1]
 
 
 def test_merge_evaluates_the_bracket_only_for_clusters(monkeypatch):
