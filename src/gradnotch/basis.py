@@ -54,7 +54,6 @@ from .model import (
     Mode,
     WedgeCase,
     assemble_field,
-    validate_case,
 )
 from .fields import _total_theta, dipolar_series, face_rows
 
@@ -326,7 +325,6 @@ def eigenfield(case: WedgeCase, material: MaterialParams, p):
     members' term table on first read. Every entry has the bits of the
     scalar form.
     """
-    validate_case(material, case)
     p_arr = np.asarray(p, dtype=float)
     sols = _eigenfields(case, material, np.atleast_1d(p_arr).tolist())
     if p_arr.ndim > 0:
@@ -397,7 +395,6 @@ def special_p1_solution(case: WedgeCase,
     every wedge. So every eig request builds these few series, the ones
     perfbench's tracing self-test counts.
     """
-    validate_case(material, case)
     members = _P1_MEMBERS[case.mode][1]
     units = tuple(tuple(float(i == j) for j in range(len(members)))
                   for i in range(len(members)))
@@ -415,7 +412,6 @@ def solution_from_amplitudes(case: WedgeCase, material: MaterialParams,
     Each amplitude vector spans the kept basis members at exponent p;
     attach_p1 adds a constant-strain part.
     """
-    validate_case(material, case)
     _, members = _kept_terms(case.mode, p, material.nu)
     amps = []
     for vec in amp_vectors:

@@ -20,15 +20,16 @@ one block of rows at a time and never builds the whole text. An --out
 path that cannot be written is a usage error; one whose directory is
 missing, or that names a directory, is refused before any solve. No
 inf or nan is written: a `field` grid or an `equilibrium` report whose
-values overflow a double is a usage error, and `_to_json` refuses a
-non-finite float.
+values overflow a double, in a series coefficient or in the values, is
+a usage error (`_OVERFLOW`), and `_to_json` refuses a non-finite float.
 
 Each flag is declared once: `eig`, `field` and `equilibrium` share
 --angle-deg, --mu and --c through one parent parser, and `_case` turns
 them and --nu into the library's WedgeCase, nu and MaterialParams.
 `sweep` takes no --mu or --c, since the exponents do not depend on them.
-RootScanOptions refuses a scan that would never end (its ValueError is
-a usage error); the CLI adds only its own limits on work and on --tol.
+The records and the scan refuse a range (`_OUT_OF_RANGE` words it),
+RootScanOptions a scan that would never end and combined_field a wrong
+--amps count; the CLI adds only its own limits on work and on --tol.
 
 Exit codes: 0 success, 1 usage error, 2 check failure.
 """
@@ -52,7 +53,7 @@ from .eigensolver import (NoRootFound, RootScanOptions, admissible_eigenvalues,
                           smallest_exponents)
 from .fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
                      crack_mode_std_amplitudes, field_series_map)
-from .model import MaterialParams, Mode, WedgeCase
+from .model import MaterialParams, Mode, OutOfRange, WedgeCase
 from .verify import SUITES, run_suite
 
 _MODE_BY_LABEL = {
@@ -85,6 +86,22 @@ _FIELD_BLOCK_ROWS = 1024
 # system is too far from singular to give a null vector (from 3e-6 on,
 # some roots are reported with nullity 0)
 _MAX_TOL = 1e-8
+
+# the message of an overflow (OverflowError), by subcommand
+_OVERFLOW = {
+    "field": ("the field is not finite at --amps {amps}, --r {r}, --mu "
+              "{mu:g} and --c {c:g}: it overflows a double"),
+    "equilibrium": ("the sector balance is not finite at --r0 {r0:g}, "
+                    "--amps {amps}, --mu {mu:g} and --c {c:g}: it "
+                    "overflows a double"),
+}
+# the message of each library range refusal, by OutOfRange.field_name
+_OUT_OF_RANGE = {
+    "half_angle_a": "--angle-deg must lie in [90, 180], got {angle_deg:g}",
+    "nu": "--nu must lie in (-1, 0.5), got {nu:g}",
+    "mu": "--mu must be positive and finite, got {mu:g}",
+    "c": "--c must be positive and finite, got {c:g}",
+}
 
 _NU_HELP = ("Poisson ratio in (-1, 0.5); required for plane modes, "
             "ignored for ap")
@@ -196,26 +213,15 @@ def _resolve_nu(args, mode: Mode) -> float | None:
         return None
     if args.nu is None:
         raise UsageError("--nu is required for plane modes")
-    if not -1.0 < args.nu < 0.5:
-        raise UsageError(f"--nu must lie in (-1, 0.5), got {args.nu:g}")
     return args.nu
 
 
 def _case(args, mode: Mode) -> tuple:
     """(WedgeCase, nu, MaterialParams) from --angle-deg, --nu, --mu and
-    --c, checked in that order; nu is None for anti-plane."""
-    if not 90.0 <= args.angle_deg <= 180.0:
-        raise UsageError(f"--angle-deg must lie in [90, 180], "
-                         f"got {args.angle_deg:g}")
-    case = WedgeCase(half_angle_a=math.radians(args.angle_deg), mode=mode)
+    --c, which the records refuse in that order; nu is None for ap."""
+    case = WedgeCase(math.radians(args.angle_deg), mode)
     nu = _resolve_nu(args, mode)
-    if not 0.0 < args.mu < math.inf:
-        raise UsageError(f"--mu must be positive and finite, "
-                         f"got {args.mu:g}")
-    if not 0.0 < args.c < math.inf:
-        raise UsageError(f"--c must be positive and finite, got {args.c:g}")
-    return case, nu, MaterialParams(nu=0.0 if nu is None else nu,
-                                    mu=args.mu, c=args.c)
+    return case, nu, MaterialParams(0.0 if nu is None else nu, args.mu, args.c)
 
 
 def _scan_options(args) -> RootScanOptions:
@@ -264,11 +270,15 @@ def cmd_eig(args) -> int:
     return 0
 
 
-def _sweep_angles(args) -> list:
+def _sweep_cases(args, mode: Mode) -> tuple:
+    """The angles and cases of a sweep; --from and --to are refused first."""
     lo, hi, step = args.from_deg, args.to_deg, args.step
-    if not 90.0 <= lo <= 180.0 or not 90.0 <= hi <= 180.0:
+    try:
+        for end in (lo, hi):
+            WedgeCase(math.radians(end), mode)
+    except OutOfRange as exc:
         raise UsageError(f"sweep range must lie in [90, 180], "
-                         f"got [{lo:g}, {hi:g}]")
+                         f"got [{lo:g}, {hi:g}]") from exc
     if lo > hi:
         raise UsageError(f"--from ({lo:g}) exceeds --to ({hi:g})")
     if not 0.0 < step < math.inf:
@@ -286,20 +296,18 @@ def _sweep_angles(args) -> list:
             break
         angles.append(min(angle, hi))
         i += 1
-    return angles
+    return angles, [WedgeCase(math.radians(a), mode) for a in angles]
 
 
 def cmd_sweep(args) -> int:
     mode = _MODE_BY_LABEL[args.mode]
     nu = _resolve_nu(args, mode)
-    angles = _sweep_angles(args)
+    angles, cases = _sweep_cases(args, mode)
     _check_out(args.out)
     nu_text = "" if args.nu is None else _fmt(args.nu)
 
     try:
-        summaries = [smallest_exponents(
-            WedgeCase(half_angle_a=math.radians(angle_deg), mode=mode), nu)
-            for angle_deg in angles]
+        summaries = [smallest_exponents(case, nu) for case in cases]
     except NoRootFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -376,29 +384,32 @@ def cmd_field(args) -> int:
         raise UsageError(f"no eigenfield at p = {entry.p:.12g}: "
                          f"{exc}") from exc
 
-    if len(amps) != sol.nullity:
-        raise UsageError(f"--amps expects {sol.nullity} coefficient(s) "
-                         f"(the nullity at p = {entry.p:.12g}), "
-                         f"got {len(amps)}")
-    field = sol.combined_field(list(amps))
+    field = _combined_field(sol, amps)
     if p1_field is not None:
         field = field + p1_field
+    series = field_series_map(field, material)
 
     a = case.half_angle_a
     thetas = np.linspace(-a, a, args.theta_steps)
     keys = PLANE_FIELD_KEYS if case.mode.is_plane else ANTIPLANE_FIELD_KEYS
-    series = field_series_map(field, material)
     grid = np.empty((len(radii), len(thetas), len(keys)))
     r_col, theta_row = np.array(radii)[:, None], thetas[None, :]
-    # an overflow is refused below, not warned about
+    # an overflow is refused, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for j, key in enumerate(keys):
             grid[:, :, j] = series[key].eval(r_col, theta_row)
     if not np.isfinite(grid).all():
-        raise UsageError(f"the field is not finite at --amps {args.amps} "
-                         f"and --r {args.r}: it overflows a double")
+        raise OverflowError("the field grid is not finite")
     _write_text(args.out, _field_csv(keys, radii, thetas, grid))
     return 0
+
+
+def _combined_field(sol, amps):
+    """sol's field of the --amps coefficients, which it counts."""
+    try:
+        return sol.combined_field(list(amps))
+    except ValueError as exc:
+        raise UsageError(f"--amps {exc}") from exc
 
 
 def _equilibrium_field(args, case: WedgeCase, material: MaterialParams):
@@ -420,11 +431,7 @@ def _equilibrium_field(args, case: WedgeCase, material: MaterialParams):
         p = smallest_exponents(case, material.nu).p
     except NoRootFound as exc:
         raise UsageError(str(exc)) from exc
-    sol = eigenfield(case, material, p)
-    if len(amps) != sol.nullity:
-        raise UsageError(f"--amps expects {sol.nullity} coefficient(s) "
-                         f"(the nullity at p = {p:.12g}), got {len(amps)}")
-    return sol.combined_field(list(amps)), p
+    return _combined_field(eigenfield(case, material, p), amps), p
 
 
 def cmd_equilibrium(args) -> int:
@@ -438,8 +445,10 @@ def cmd_equilibrium(args) -> int:
 
     field, p = _equilibrium_field(args, case, material)
     try:
-        report = check_equilibrium(field, material, args.r0,
-                                   case.half_angle_a)
+        # an overflow is refused, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_equilibrium(field, material, args.r0,
+                                       case.half_angle_a)
     except QuadratureDisagreement as exc:
         print(f"error: arc quadrature failed to converge: {exc}",
               file=sys.stderr)
@@ -480,9 +489,7 @@ def cmd_equilibrium(args) -> int:
     try:
         payload = _to_json(doc)
     except ValueError as exc:
-        raise UsageError(f"the sector balance is not finite at --r0 "
-                         f"{args.r0:g} and --amps {args.amps}: it overflows "
-                         f"a double") from exc
+        raise OverflowError("the sector balance is not finite") from exc
     sys.stdout.write("\n".join(text) + "\n" + payload + "\n")
     return 0 if report.passed else 2
 
@@ -616,8 +623,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    except OutOfRange as exc:
+        message = _OUT_OF_RANGE[exc.field_name].format(**vars(args))
+    except OverflowError:
+        message = _OVERFLOW[args.command].format(**vars(args))
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def entry() -> None:

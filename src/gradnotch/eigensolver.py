@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import char_bracket
-from .model import WedgeCase
+from .model import WedgeCase, check_poisson_ratio
 
 __all__ = [
     "RootScanOptions",
@@ -193,9 +193,12 @@ class _Scan:
     are consumed. The scale max(1, max|f|) over the scan window evaluates
     the whole grid; the dip filter and the touch test read it only when
     the scan reaches a dip. The values, and so the triggers, are the same
-    however the grid is cut into parts."""
+    however the grid is cut into parts. A plane mode's nu outside
+    (-1, 1/2) raises OutOfRange before any evaluation."""
 
     def __init__(self, case: WedgeCase, nu, options: RootScanOptions | None):
+        if case.mode.is_plane:
+            check_poisson_ratio(nu)
         opts = options or RootScanOptions()
         self.case, self.nu = case, nu
         self.tol = opts.refine_tol
@@ -210,11 +213,8 @@ class _Scan:
         """f on grid points [0, stop), evaluating the missing ones
         [done, stop) in one numpy call."""
         if stop > self.done:
-            part = np.asarray(char_bracket(_grid(np.arange(self.done, stop)),
-                                           self.case, self.nu), dtype=float)
-            if not np.all(np.isfinite(part)):
-                raise ValueError("the bracket is not finite on the scan grid")
-            self.vals[self.done:stop] = part
+            self.vals[self.done:stop] = char_bracket(
+                _grid(np.arange(self.done, stop)), self.case, self.nu)
             self.done = stop
         return self.vals[:stop]
 

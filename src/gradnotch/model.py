@@ -28,12 +28,13 @@ __all__ = [
     "PolarSeries",
     "DisplacementField",
     "EigenSolution",
-    "validate_case",
+    "check_poisson_ratio",
 ]
 
 # canonical-form thresholds for PolarSeries
 PRUNE_REL = 1e-14   # drop coefficients below this fraction of the largest
 KEY_TOL = 1e-9      # merge/snap tolerance for exponents and frequencies
+ANGLE_SLACK = 1e-12  # admitted past the half-angle ends pi/2 and pi
 
 
 class Mode(Enum):
@@ -63,6 +64,12 @@ class OutOfRange(ValueError):
         super().__init__(f"{field_name} = {value!r} outside {allowed}")
 
 
+def check_poisson_ratio(nu) -> None:
+    """Raise OutOfRange unless -1 < nu < 1/2 (None is refused too)."""
+    if nu is None or not -1.0 < nu < 0.5:
+        raise OutOfRange("nu", nu, "(-1, 1/2)")
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Isotropic gradient-elastic material.
@@ -72,16 +79,23 @@ class MaterialParams:
     nu : float
         Poisson ratio, -1 < nu < 1/2.
     mu : float
-        Shear modulus, default 1 (nondimensional).
+        Shear modulus, 0 < mu < inf, default 1 (nondimensional).
     c : float
-        Gradient coefficient (units length**2), default 1 (nondimensional).
+        Gradient coefficient (units length**2), 0 < c < inf, default 1.
 
-    The Lame constant lambda is always derived from (mu, nu), never stored.
+    A value out of range raises OutOfRange, nu first, then mu and c. The
+    Lame constant lambda is always derived from (mu, nu), never stored.
     """
 
     nu: float
     mu: float = 1.0
     c: float = 1.0
+
+    def __post_init__(self):
+        check_poisson_ratio(self.nu)
+        for name in ("mu", "c"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise OutOfRange(name, getattr(self, name), "(0, inf)")
 
     @property
     def lam(self) -> float:
@@ -92,11 +106,19 @@ class MaterialParams:
 class WedgeCase:
     """Wedge with faces theta = +/- half_angle_a (radians) under one mode.
 
-    half_angle_a ranges from pi/2 (half space) to pi (crack).
+    half_angle_a ranges from pi/2 (half space) to pi (crack), each within
+    ANGLE_SLACK; outside, or for a mode not a Mode, it raises OutOfRange.
     """
 
     half_angle_a: float
     mode: Mode
+
+    def __post_init__(self):
+        a = self.half_angle_a
+        if not math.pi / 2.0 - ANGLE_SLACK <= a <= math.pi + ANGLE_SLACK:
+            raise OutOfRange("half_angle_a", a, "[pi/2, pi]")
+        if not isinstance(self.mode, Mode):
+            raise OutOfRange("mode", self.mode, "Mode")
 
 
 @dataclass(frozen=True)
@@ -105,21 +127,6 @@ class PolarPoint:
 
     r: float
     theta: float
-
-
-def validate_case(material: MaterialParams, case: WedgeCase) -> None:
-    """Raise OutOfRange unless material and wedge parameters are admissible."""
-    if not 0.0 < material.mu < math.inf:
-        raise OutOfRange("mu", material.mu, "(0, inf)")
-    if not 0.0 < material.c < math.inf:
-        raise OutOfRange("c", material.c, "(0, inf)")
-    if not -1.0 < material.nu < 0.5:
-        raise OutOfRange("nu", material.nu, "(-1, 1/2)")
-    a = case.half_angle_a
-    if not (math.pi / 2.0 - 1e-12 <= a <= math.pi + 1e-12):
-        raise OutOfRange("half_angle_a", a, "[pi/2, pi]")
-    if not isinstance(case.mode, Mode):
-        raise OutOfRange("mode", case.mode, "Mode")
 
 
 class Term(NamedTuple):
@@ -139,7 +146,8 @@ def _canonical(raw_terms) -> tuple:
     zero frequency. Terms are sorted by (r_exp, freq, kind), neighbours
     sharing that key within KEY_TOL are merged by adding coefficients, and
     coefficients smaller than PRUNE_REL of the largest surviving
-    coefficient are dropped.
+    coefficient are dropped. A coefficient that is not finite, given or
+    merged, raises OverflowError: it would make that cut drop every term.
     """
     norm = []
     for coef, r_exp, freq, kind in raw_terms:
@@ -173,7 +181,10 @@ def _canonical(raw_terms) -> tuple:
                 continue
         merged.append((r_exp, freq, kind, coef))
 
-    cut = PRUNE_REL * max((abs(t[3]) for t in merged), default=0.0)
+    coefs = [t[3] for t in merged]
+    if not all(map(math.isfinite, coefs)):
+        raise OverflowError("a series coefficient is not finite")
+    cut = PRUNE_REL * max(map(abs, coefs), default=0.0)
     return tuple(Term(c, e, f, k) for e, f, k, c in merged if abs(c) > cut)
 
 
@@ -427,7 +438,8 @@ class EigenSolution:
             coeffs = list(amp)
             if len(coeffs) != self.nullity:
                 raise ValueError(
-                    f"expected {self.nullity} coefficients, got {len(coeffs)}")
+                    f"expects {self.nullity} coefficient(s) (the nullity at "
+                    f"p = {self.p:.12g}), got {len(coeffs)}")
             out = assemble_field(self.case.mode, [
                 [c.terms for c in f.components()] for f in self.fields], coeffs)
         if include_p1 and self.p1_field is not None:

@@ -19,7 +19,7 @@ from gradnotch.charfn import char_bracket
 from gradnotch.eigensolver import (AdmissibleRoot, NoRootFound, NoSignChange,
                                    RootScanOptions, admissible_eigenvalues,
                                    find_roots, smallest_exponents)
-from gradnotch.model import Mode, WedgeCase
+from gradnotch.model import Mode, OutOfRange, WedgeCase
 
 CRACK_HALF_INTEGERS = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
 REFINE_TOL = RootScanOptions().refine_tol
@@ -136,6 +136,21 @@ def test_scan_options_refuse_a_scan_that_would_not_end(kwargs):
 def test_scan_options_accept_their_bounds():
     options = RootScanOptions(p_max=1.0 + 2e-6, refine_tol=0.0)
     assert (options.p_max, options.refine_tol) == (1.0 + 2e-6, 0.0)
+
+
+@pytest.mark.parametrize("scan", [find_roots, admissible_eigenvalues,
+                                  smallest_exponents])
+@pytest.mark.parametrize("nu", [0.5, -1.0, None])
+@pytest.mark.parametrize("mode", [Mode.PLANE_SYM, Mode.PLANE_ANTI])
+def test_scans_refuse_a_plane_poisson_ratio_out_of_range(monkeypatch, scan,
+                                                        nu, mode):
+    # refused before the bracket is evaluated; anti-plane ignores nu
+    monkeypatch.setattr(eigensolver, "char_bracket", None)
+    with pytest.raises(OutOfRange) as info:
+        scan(_case(4.0 - 0.5 * math.pi, mode), nu)
+    assert (info.value.field_name, info.value.value) == ("nu", nu)
+    monkeypatch.undo()
+    assert scan(_case(2.0, Mode.ANTIPLANE_ODD), nu)
 
 
 def test_full_scan_is_fast():

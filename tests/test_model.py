@@ -7,9 +7,9 @@ import math
 import pytest
 
 from gradnotch.basis import attach_p1, basis_fields, eigenfield
-from gradnotch.model import (DisplacementField, MaterialParams, Mode,
-                             OutOfRange, PolarSeries, WedgeCase,
-                             assemble_field, validate_case)
+from gradnotch.model import (ANGLE_SLACK, DisplacementField,
+                             MaterialParams, Mode, OutOfRange, PolarSeries,
+                             WedgeCase, assemble_field)
 
 
 def test_lame_constant_from_shear_and_poisson():
@@ -26,41 +26,61 @@ def test_mode_plane_flags():
 
 @pytest.mark.parametrize("nu", [0.5, 0.75, -1.0, -2.0])
 def test_validate_rejects_poisson_ratio(nu):
-    case = WedgeCase(half_angle_a=2.0, mode=Mode.PLANE_SYM)
-    with pytest.raises(OutOfRange):
-        validate_case(MaterialParams(nu=nu), case)
+    with pytest.raises(OutOfRange) as info:
+        MaterialParams(nu=nu)
+    assert (info.value.field_name, info.value.value) == ("nu", nu)
 
 
 @pytest.mark.parametrize("angle", [0.5, math.pi / 2 - 0.01,
                                    math.pi + 0.01, 4.0])
 def test_validate_rejects_half_angle(angle):
-    case = WedgeCase(half_angle_a=angle, mode=Mode.PLANE_SYM)
-    with pytest.raises(OutOfRange):
-        validate_case(MaterialParams(nu=0.3), case)
+    with pytest.raises(OutOfRange) as info:
+        WedgeCase(half_angle_a=angle, mode=Mode.PLANE_SYM)
+    assert info.value.field_name == "half_angle_a"
 
 
 @pytest.mark.parametrize("mu,c", [(0.0, 1.0), (-1.0, 1.0),
                                   (1.0, 0.0), (1.0, -0.5)])
 def test_validate_rejects_nonpositive_moduli(mu, c):
-    case = WedgeCase(half_angle_a=math.pi, mode=Mode.PLANE_SYM)
     with pytest.raises(OutOfRange):
-        validate_case(MaterialParams(nu=0.3, mu=mu, c=c), case)
+        MaterialParams(nu=0.3, mu=mu, c=c)
 
 
 @pytest.mark.parametrize("mu,c", [(math.inf, 1.0), (1.0, math.inf),
                                   (math.inf, math.inf), (math.nan, 1.0),
                                   (1.0, math.nan)])
 def test_validate_rejects_nonfinite_moduli(mu, c):
-    case = WedgeCase(half_angle_a=math.pi, mode=Mode.PLANE_SYM)
     with pytest.raises(OutOfRange, match=r"outside \(0, inf\)"):
-        validate_case(MaterialParams(nu=0.3, mu=mu, c=c), case)
+        MaterialParams(nu=0.3, mu=mu, c=c)
 
 
 def test_validate_accepts_full_ranges():
+    MaterialParams(nu=0.0)
     for angle in (math.pi / 2, 2.0, math.pi):
         for mode in Mode:
-            validate_case(MaterialParams(nu=0.0),
-                          WedgeCase(half_angle_a=angle, mode=mode))
+            WedgeCase(half_angle_a=angle, mode=mode)
+
+
+def test_material_refuses_nu_then_mu_then_c():
+    # the first bad value, in this order, is the one reported
+    for kwargs, name in (({"nu": 0.5, "mu": -1.0, "c": -1.0}, "nu"),
+                         ({"nu": 0.3, "mu": -1.0, "c": -1.0}, "mu"),
+                         ({"nu": 0.3, "mu": 1.0, "c": math.nan}, "c")):
+        with pytest.raises(OutOfRange) as info:
+            MaterialParams(**kwargs)
+        assert info.value.field_name == name
+
+
+def test_wedge_admits_the_angle_slack_and_no_more():
+    for end in (math.pi / 2 - ANGLE_SLACK, math.pi + ANGLE_SLACK):
+        WedgeCase(half_angle_a=end, mode=Mode.ANTIPLANE_ODD)
+    for past in (math.pi / 2 - 2 * ANGLE_SLACK, math.pi + 2 * ANGLE_SLACK,
+                 math.nan):
+        with pytest.raises(OutOfRange, match=r"outside \[pi/2, pi\]"):
+            WedgeCase(half_angle_a=past, mode=Mode.ANTIPLANE_ODD)
+    with pytest.raises(OutOfRange) as info:
+        WedgeCase(half_angle_a=2.0, mode="plane-sym")
+    assert info.value.field_name == "mode"
 
 
 def test_field_addition_requires_matching_mode():

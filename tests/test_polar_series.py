@@ -58,6 +58,24 @@ def test_zero_frequency_sine_vanishes():
     assert PolarSeries.single(7.0, 2.0, 0.0, "sin").is_zero
 
 
+@pytest.mark.parametrize("raw", [
+    ((math.inf, 1.0, 1.0, "cos"), (1.0, 2.0, 1.0, "cos")),
+    ((1.0, 2.0, 1.0, "cos"), (-math.inf, 1.0, 0.5, "sin")),
+    ((math.nan, 1.0, 1.0, "cos"),),
+    # finite terms whose merge overflows
+    ((1e308, 1.0, 1.0, "cos"), (1e308, 1.0, 1.0, "cos")),
+])
+def test_non_finite_coefficient_is_refused(raw):
+    # the relative prune would otherwise drop every term and leave zero
+    with pytest.raises(OverflowError):
+        PolarSeries(raw)
+    finite = PolarSeries(((1e308, 1.0, 1.0, "cos"),))
+    with pytest.raises(OverflowError):
+        finite.scaled(10.0)
+    with pytest.raises(OverflowError):
+        finite * finite
+
+
 # keys that are equal (after the snap to zero and the freq sign fold) or
 # at least 2 KEY_TOL apart, so that no merge depends on the sort order
 _NEAR = 2.5 * KEY_TOL
