@@ -90,17 +90,17 @@ _MAX_TOL = 1e-8
 # the message of an overflow (OverflowError), by subcommand
 _OVERFLOW = {
     "field": ("the field is not finite at --amps {amps}, --r {r}, --mu "
-              "{mu:g} and --c {c:g}: it overflows a double"),
-    "equilibrium": ("the sector balance is not finite at --r0 {r0:g}, "
-                    "--amps {amps}, --mu {mu:g} and --c {c:g}: it "
+              "{mu!r} and --c {c!r}: it overflows a double"),
+    "equilibrium": ("the sector balance is not finite at --r0 {r0!r}, "
+                    "--amps {amps}, --mu {mu!r} and --c {c!r}: it "
                     "overflows a double"),
 }
 # the message of each library range refusal, by OutOfRange.field_name
 _OUT_OF_RANGE = {
-    "half_angle_a": "--angle-deg must lie in [90, 180], got {angle_deg:g}",
-    "nu": "--nu must lie in (-1, 0.5), got {nu:g}",
-    "mu": "--mu must be positive and finite, got {mu:g}",
-    "c": "--c must be positive and finite, got {c:g}",
+    "half_angle_a": "--angle-deg must lie in [90, 180], got {angle_deg!r}",
+    "nu": "--nu must lie in (-1, 0.5), got {nu!r}",
+    "mu": "--mu must be positive and finite, got {mu!r}",
+    "c": "--c must be positive and finite, got {c!r}",
 }
 
 _NU_HELP = ("Poisson ratio in (-1, 0.5); required for plane modes, "
@@ -229,10 +229,10 @@ def _scan_options(args) -> RootScanOptions:
     refuses the rest."""
     if not args.p_max <= _MAX_P:
         raise UsageError(f"--p-max must not exceed {_MAX_P:g}, "
-                         f"got {args.p_max:g}")
+                         f"got {args.p_max!r}")
     if not 0.0 < args.tol <= _MAX_TOL:
         raise UsageError(f"--tol must lie in (0, {_MAX_TOL:g}], "
-                         f"got {args.tol:g}")
+                         f"got {args.tol!r}")
     try:
         return RootScanOptions(p_max=args.p_max, refine_tol=args.tol)
     except ValueError as exc:
@@ -278,15 +278,15 @@ def _sweep_cases(args, mode: Mode) -> tuple:
             WedgeCase(math.radians(end), mode)
     except OutOfRange as exc:
         raise UsageError(f"sweep range must lie in [90, 180], "
-                         f"got [{lo:g}, {hi:g}]") from exc
+                         f"got [{lo!r}, {hi!r}]") from exc
     if lo > hi:
-        raise UsageError(f"--from ({lo:g}) exceeds --to ({hi:g})")
+        raise UsageError(f"--from ({lo!r}) exceeds --to ({hi!r})")
     if not 0.0 < step < math.inf:
         raise UsageError(f"--step must be positive and finite, "
-                         f"got {step:g}")
+                         f"got {step!r}")
     if not (hi - lo + _SWEEP_SLACK) / step < _MAX_SWEEP_ANGLES:
         raise UsageError(f"a sweep may hold at most {_MAX_SWEEP_ANGLES} "
-                         f"angles; --step {step:g} over [{lo:g}, {hi:g}] "
+                         f"angles; --step {step!r} over [{lo!r}, {hi!r}] "
                          f"asks for more")
     angles = []
     i = 0
@@ -419,7 +419,7 @@ def _equilibrium_field(args, case: WedgeCase, material: MaterialParams):
         if abs(args.angle_deg - 180.0) > 1e-9:
             raise UsageError(f"mode {args.mode} is the crack case; "
                              f"--angle-deg must be 180, "
-                             f"got {args.angle_deg:g}")
+                             f"got {args.angle_deg!r}")
         if len(amps) != 2:
             names = "A1,A2" if args.mode == "I" else "B1,B2"
             raise UsageError(f"mode {args.mode} expects --amps {names} "
@@ -441,7 +441,7 @@ def cmd_equilibrium(args) -> int:
     case, _, material = _case(args, _EQUILIBRIUM_MODES[args.mode])
     if not 0.0 < args.r0 < math.inf:
         raise UsageError(f"--r0 must be positive and finite, "
-                         f"got {args.r0:g}")
+                         f"got {args.r0!r}")
 
     field, p = _equilibrium_field(args, case, material)
     try:

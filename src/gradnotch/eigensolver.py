@@ -6,7 +6,9 @@ crossing — at the crack and half-space limits every in-plane root is of the
 latter type, and near those limits touch roots split into pairs of simple
 roots closer together than any practical grid.
 
-The scanner samples the bracket f on a uniform grid and has two triggers:
+The scanner samples the bracket f on a uniform grid and reads its roots
+from one ascending stream (_Scan.roots), which refines each of the two
+kinds of trigger on the grid when it reaches it:
 
 * a sign change of f across a grid cell (a grid value of exactly zero
   counts as a change on both sides) holds a simple root, refined by
@@ -21,19 +23,22 @@ The scanner samples the bracket f on a uniform grid and has two triggers:
   root. Otherwise the dip holds no root. Accepted and rejected touches
   both emit a NoSignChange warning.
 
+Roots closer than 1e-9 are one root; the stream yields each cluster once
+the next trigger starts past it. find_roots drains the stream, and
+smallest_exponents takes its first root.
+
 The derivative is exact to rounding: the brackets accept complex p, and
 f'(p) = Im f(p + ih) / h with h = 1e-30 (the complex-step method, Squire
 and Trapp 1998), which involves no difference of nearby values.
 
-The grid is evaluated through numpy in ascending parts, one call each:
-find_roots takes it as one part, and smallest_exponents first takes the
-cells up to p = 2.025 (the smallest root lies in [1.5, 2] at every wedge
-angle) and the rest only if a trigger there can still hold the smallest
-root. The grid scale is evaluated only when a dip is reached, and it
-evaluates the whole grid. Every point evaluation after the grid (Brent's
-steps on f and f', the dip test, the merge) goes through the same
-bracket formula with lib=math, or lib=cmath for the complex step, which
-avoids a 0-d array round trip per point.
+The grid is evaluated through numpy in two ascending parts, one call
+each: the cells up to p = 2.025 (the smallest root lies in [1.5, 2] at
+every wedge angle), then the rest when the stream reaches them or a dip
+reads the grid scale, which evaluates the whole grid. find_roots
+evaluates the whole grid at once. Every point evaluation after the grid
+(Brent's steps on f and f', the dip test, the merge) goes through the
+same bracket formula with lib=math, or lib=cmath for the complex step,
+which avoids a 0-d array round trip per point.
 """
 
 from __future__ import annotations
@@ -185,16 +190,11 @@ def _brent(f, a, b, fa, fb, tol):
 
 
 class _Scan:
-    """The bracket of one case, its exact derivative, and the triggers of
-    its grid scan.
+    """The bracket of one case, its exact derivative and its root stream.
 
-    The grid p_k = _P_MIN + _GRID_STEP * k is only sized here and is
-    evaluated in ascending parts, one numpy call each, as the triggers
-    are consumed. The scale max(1, max|f|) over the scan window evaluates
-    the whole grid; the dip filter and the touch test read it only when
-    the scan reaches a dip. The values, and so the triggers, are the same
-    however the grid is cut into parts. A plane mode's nu outside
-    (-1, 1/2) raises OutOfRange before any evaluation."""
+    The grid p_k = _P_MIN + _GRID_STEP * k is only sized here. Its values,
+    and so the triggers and the scale, are the same however it is cut into
+    parts. A plane mode's nu outside (-1, 1/2) raises OutOfRange first."""
 
     def __init__(self, case: WedgeCase, nu, options: RootScanOptions | None):
         if case.mode.is_plane:
@@ -225,22 +225,20 @@ class _Scan:
         inside = _grid(np.arange(self.points)) <= self.top
         return max(1.0, float(np.max(np.abs(vals[inside]))))
 
-    def triggers(self, first=None, beyond=None):
+    def triggers(self):
         """(lo, hi, is_dip) of each trigger, ascending: a sign change of f
         across [lo, hi] or a dip of |f| at its midpoint.
 
-        Cells [0, first) are evaluated as one part and the rest as a
-        second (first=None: all cells in one). If beyond(p) holds for the
-        lower end p of the next cell, the scan ends there, before it
-        evaluates another part or reads the scale.
+        The cells are read in two parts, [0, _FIRST_CELLS) and the rest,
+        each evaluated when reached, or in one if the grid is evaluated.
+        A mark (p, None, None), which holds no root, comes before each
+        part with p its first cell's lower end, and last with p = inf.
         """
         cells = self.points - 1
+        first = cells if self.done == self.points else min(_FIRST_CELLS, cells)
         start = 0
-        for stop in (cells if first is None else min(first, cells), cells):
-            if stop <= start:
-                continue
-            if beyond and beyond(_grid(start)):
-                return
+        for stop in sorted({first, cells}):
+            yield _grid(start), None, None
             vals = self._values(min(stop + 2, self.points))
             sign, absv = np.sign(vals), np.abs(vals)
             k = np.arange(start, stop)
@@ -250,13 +248,11 @@ class _Scan:
                      & (sign[k] == sign[k + 1]) & (sign[k + 1] == sign[k + 2])]
             for lo, dip in sorted([(i, False) for i in crossings.tolist()]
                                   + [(i, True) for i in dips.tolist()]):
-                p = _grid(lo)
-                if beyond and beyond(p):
-                    return
                 if dip and not absv[lo + 1] < _CANDIDATE_REL * self.scale:
                     continue
-                yield p, _grid(lo + 2 if dip else lo + 1), dip
+                yield _grid(lo), _grid(lo + 2 if dip else lo + 1), dip
             start = stop
+        yield math.inf, None, None
 
     def f(self, p):
         return char_bracket(p, self.case, self.nu, math)
@@ -265,7 +261,7 @@ class _Scan:
         return (char_bracket(complex(p, _STEP), self.case, self.nu, cmath)
                 .imag / _STEP)
 
-    def roots(self, lo, hi, dip):
+    def _refine(self, lo, hi, dip):
         """Refined roots of one trigger inside the scan window, ascending."""
         f, tol = self.f, self.tol
         flo, fhi = f(lo), f(hi)
@@ -283,22 +279,32 @@ class _Scan:
                          _brent(f, x, hi, fx, fhi, tol)]
             else:
                 accepted = abs(fx) < _ACCEPT_REL * self.scale
-                warnings.warn(NoSignChange(x, fx, accepted), stacklevel=3)
+                # level 4: the caller of find_roots or smallest_exponents
+                warnings.warn(NoSignChange(x, fx, accepted), stacklevel=4)
                 found = [x] if accepted else []
         return [p for p in found if _P_MIN < p <= self.top]
 
-    def merged(self, roots):
-        """Ascending roots with those closer than _CLUSTER_MERGE merged,
-        keeping the best |f| (evaluated only for a cluster of two or
-        more)."""
-        groups = []
-        for p in roots:
-            if groups and p - groups[-1][-1] <= _CLUSTER_MERGE:
-                groups[-1].append(p)
-            else:
-                groups.append([p])
-        return [g[0] if len(g) == 1 else min(g, key=lambda x: abs(self.f(x)))
-                for g in groups]
+    def roots(self):
+        """The roots inside the scan window, ascending, each cluster of
+        roots closer than _CLUSTER_MERGE merged into its root of least |f|
+        (evaluated only for a cluster of two or more).
+
+        Each trigger is refined when reached. Its roots wait until a
+        trigger or mark starts more than _CLUSTER_MERGE past the last of
+        them, when no later root can join them, and are yielded then."""
+        found = []          # refined roots not yet yielded, ascending
+        for lo, hi, dip in self.triggers():
+            if found and lo - found[-1] > _CLUSTER_MERGE:
+                cluster = []
+                for p in found + [math.inf]:    # inf closes the last one
+                    if cluster and p - cluster[-1] > _CLUSTER_MERGE:
+                        yield (cluster[0] if len(cluster) == 1 else
+                               min(cluster, key=lambda x: abs(self.f(x))))
+                        cluster = []
+                    cluster.append(p)
+                found = []
+            if hi is not None:
+                found = sorted(found + self._refine(lo, hi, dip))
 
 
 def find_roots(case: WedgeCase, nu=None, options: RootScanOptions | None = None):
@@ -310,8 +316,8 @@ def find_roots(case: WedgeCase, nu=None, options: RootScanOptions | None = None)
     dips.
     """
     scan = _Scan(case, nu, options)
-    return scan.merged(sorted(p for trigger in scan.triggers()
-                              for p in scan.roots(*trigger)))
+    scan._values(scan.points)       # the whole grid in one numpy call
+    return list(scan.roots())
 
 
 def admissible_eigenvalues(case: WedgeCase, nu=None,
@@ -331,19 +337,11 @@ def smallest_exponents(case: WedgeCase, nu=None,
                        options: RootScanOptions | None = None) -> ExponentSummary:
     """Exponent summary for the smallest bracket root.
 
-    The scan refines triggers in ascending order and stops once no later
-    trigger can hold a root that would merge with the smallest one, so the
-    result equals find_roots(...)[0]. It evaluates the grid up to
-    p = 2.025 first and the rest only when a trigger past that, or the
-    scale a dip reads, is still needed.
+    It is find_roots(...)[0] bit for bit, but the root stream stops after
+    its first cluster.
     """
-    scan = _Scan(case, nu, options)
-    found = []
-    for trigger in scan.triggers(
-            _FIRST_CELLS, lambda p: found and p > found[-1] + _CLUSTER_MERGE):
-        found = sorted(found + scan.roots(*trigger))
-    if not found:
-        raise NoRootFound(
-            f"no admissible bracket root for mode {case.mode.value} at "
-            f"half-angle {case.half_angle_a:.6g}")
-    return ExponentSummary.from_p(scan.merged(found)[0])
+    for p in _Scan(case, nu, options).roots():
+        return ExponentSummary.from_p(p)
+    raise NoRootFound(
+        f"no admissible bracket root for mode {case.mode.value} at "
+        f"half-angle {case.half_angle_a:.6g}")

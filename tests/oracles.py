@@ -12,7 +12,8 @@ oracles are:
   characteristic bracket functions, with their roots at 30 digits
   (mpmath);
 - the root scanner's triggers and scale from one numpy evaluation of
-  its whole grid (scan_triggers_one_shot);
+  its whole grid (scan_triggers_one_shot), and its roots from those
+  triggers refined all at once, sorted and merged (scan_roots_one_shot);
 - closed-form crack-tip corner forces and arc tractions for the symmetric
   and anti-symmetric in-plane crack modes;
 - the u_theta/u_r coupling ratio of the third plane basis member;
@@ -149,6 +150,27 @@ def scan_triggers_one_shot(case, nu, p_max=4.0):
               and absv[i + 1] < 1e-3 * scale):
             triggers.append((float(grid[i]), float(grid[i + 2]), True))
     return triggers, scale
+
+
+def scan_roots_one_shot(case, nu, p_max=4.0):
+    """The root scanner's roots from scan_triggers_one_shot: every trigger
+    refined by the scanner's own refinement, all the roots sorted, and
+    each run of roots less than 1e-9 apart merged into its root of least
+    |f|. It checks the order of the scanner's root stream, not its
+    refinement."""
+    from gradnotch import eigensolver
+
+    scan = eigensolver._Scan(case, nu,
+                             eigensolver.RootScanOptions(p_max=p_max))
+    triggers, _ = scan_triggers_one_shot(case, nu, p_max)
+    roots = sorted(p for trigger in triggers for p in scan._refine(*trigger))
+    groups = []
+    for p in roots:
+        if groups and p - groups[-1][-1] <= 1e-9:
+            groups[-1].append(p)
+        else:
+            groups.append([p])
+    return [min(group, key=lambda x: abs(scan.f(x))) for group in groups]
 
 
 def mp_root(mode_label, angle_deg, nu, lo, hi, touch=False):

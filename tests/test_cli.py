@@ -712,7 +712,8 @@ def test_equilibrium_overflow_refusal_prints_no_warning(capsys):
                                     "--amps", "1,1", "--r0", "1e-300"])
     assert rc == 1 and out == ""
     assert err == ("error: the sector balance is not finite at --r0 1e-300, "
-                   "--amps 1,1, --mu 1 and --c 1: it overflows a double\n")
+                   "--amps 1,1, --mu 1.0 and --c 1.0: it overflows a "
+                   "double\n")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
@@ -804,7 +805,7 @@ def test_angle_ends_admit_the_library_slack(capsys, angle, rc):
     assert got == rc
     if rc:
         assert out == "" and err == (f"error: --angle-deg must lie in "
-                                     f"[90, 180], got {float(angle):g}\n")
+                                     f"[90, 180], got {float(angle)!r}\n")
     else:
         assert json.loads(out)["case"]["angle_deg"] == float(angle)
 
@@ -818,7 +819,31 @@ def test_sweep_range_is_refused_before_the_angle_count(capsys, monkeypatch):
                                     "--to", hi, "--step", "1e-300"])
         assert rc == 1 and out == ""
         assert err == (f"error: sweep range must lie in [90, 180], "
-                       f"got [{float(lo):g}, {float(hi):g}]\n")
+                       f"got [{float(lo)!r}, {float(hi)!r}]\n")
+    rc, out, err = run(capsys, ["sweep", "--mode", "ap", "--from", "120",
+                                "--to", "119.9999999", "--step", "1e-300"])
+    assert rc == 1 and out == ""
+    assert err == "error: --from (120.0) exceeds --to (119.9999999)\n"
+
+
+# a value just past a bound is echoed with every digit that puts it there
+@pytest.mark.parametrize("argv,message", [
+    (["eig", "--mode", "ps-sym", "--angle-deg", "135", "--nu", "0.5000001"],
+     "--nu must lie in (-1, 0.5), got 0.5000001"),
+    (["eig", "--mode", "ap", "--angle-deg", "135", "--p-max", "100.0000001"],
+     "--p-max must not exceed 100, got 100.0000001"),
+    (["eig", "--mode", "ap", "--angle-deg", "135", "--tol", "1.0000001e-8"],
+     "--tol must lie in (0, 1e-08], got 1.0000001e-08"),
+    (["equilibrium", "--mode", "I", "--angle-deg", "179.9999999", "--nu",
+      "0.3", "--amps", "1,0"],
+     "mode I is the crack case; --angle-deg must be 180, got 179.9999999"),
+])
+def test_refusals_print_the_value_they_refused(capsys, monkeypatch, argv,
+                                               message):
+    for name in ("admissible_eigenvalues", "smallest_exponents",
+                 "solution_from_amplitudes"):
+        monkeypatch.setattr(cli, name, _no_work)
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
 
 
 # ----------------------------------------------------------------------
@@ -899,6 +924,22 @@ def test_module_entry_prints_each_warning_on_one_line(capsys):
     with pytest.warns(NoSignChange):
         rc, out, _ = run(capsys, argv)
     assert rc == 0 and proc.stdout == out
+
+
+def test_check_prints_each_repeated_warning_once_per_caller():
+    # the scans credit each NoSignChange to the line that called them, so
+    # the default once-per-location filter drops a repeated message only
+    # from the same caller: seed 0 prints 13 warning lines
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "gradnotch.cli", "check",
+                           "--suite", "all", "--seed", "0"],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 13
+    assert all(line.startswith("warning: ") for line in lines)
 
 
 # ----------------------------------------------------------------------

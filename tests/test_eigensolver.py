@@ -300,34 +300,102 @@ SCAN_ANGLES = (90.0, 90.0001, 90.05, 90.3, 135.0, 150.0, 179.7, 179.95,
 SCAN_P_MAX = (1.5, 2.0, 2.022001, 2.023001, 2.025, 4.0, 10.0)
 
 
+def _triggers_and_marks(scan):
+    """The triggers of scan, and the p of its marks (p, None, None)."""
+    items = list(scan.triggers())
+    return ([t for t in items if t[1] is not None],
+            [t[0] for t in items if t[1] is None])
+
+
 @pytest.mark.parametrize("mode", list(Mode))
-def test_chunked_scan_equals_the_one_shot_scan(mode):
-    # the triggers and the scale do not depend on how the grid is cut into
-    # parts, nor on whether the scale is read before the triggers
+def test_chunked_scan_equals_the_one_shot_scan(monkeypatch, mode):
+    # the triggers and the scale do not depend on where the grid is cut
+    # into parts, nor on whether the scale is read before the triggers; a
+    # mark comes before each part and at the end, and a grid evaluated
+    # before the triggers are read is one part
     nus = [None] if mode is Mode.ANTIPLANE_ODD else SCAN_NUS
     for nu in nus:
         for angle_deg in SCAN_ANGLES:
             case = _case(math.radians(angle_deg), mode)
             for p_max in SCAN_P_MAX:
-                ref = oracles.scan_triggers_one_shot(case, nu, p_max)
+                ref, scale = oracles.scan_triggers_one_shot(case, nu, p_max)
                 options = RootScanOptions(p_max=p_max)
-                for first in (None, 1, 500, eigensolver._FIRST_CELLS):
+                for first in (1, 500, 1024):
+                    monkeypatch.setattr(eigensolver, "_FIRST_CELLS", first)
                     scan = eigensolver._Scan(case, nu, options)
-                    assert (list(scan.triggers(first)), scan.scale) == ref, \
+                    cuts = [first] if first < scan.points - 1 else []
+                    marks = [eigensolver._grid(k) for k in [0] + cuts]
+                    assert (_triggers_and_marks(scan), scan.scale) == (
+                        (ref, marks + [math.inf]), scale), \
                         (nu, angle_deg, p_max, first)
                 scan = eigensolver._Scan(case, nu, options)
-                assert (scan.scale, list(scan.triggers(1))) == ref[::-1]
+                assert (scan.scale, _triggers_and_marks(scan)) == (
+                    scale, (ref, [eigensolver._grid(0), math.inf]))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_root_stream_equals_the_one_shot_roots(mode):
+    # draining the stream, or taking its first root, gives the roots of
+    # every trigger refined at once, sorted and merged
+    nus = [None] if mode is Mode.ANTIPLANE_ODD else SCAN_NUS
+    for nu in nus:
+        for angle_deg in SCAN_ANGLES:
+            case = _case(math.radians(angle_deg), mode)
+            for p_max in SCAN_P_MAX:
+                ref = oracles.scan_roots_one_shot(case, nu, p_max)
+                options = RootScanOptions(p_max=p_max)
+                key = (nu, angle_deg, p_max)
+                assert find_roots(case, nu, options) == ref, key
+                if ref:
+                    assert smallest_exponents(case, nu, options).p == ref[0]
+                else:
+                    with pytest.raises(NoRootFound):
+                        smallest_exponents(case, nu, options)
 
 
 def test_merge_evaluates_the_bracket_only_for_clusters(monkeypatch):
+    # a stream over triggers that refine to given roots: a root waits for
+    # the next trigger that starts more than 1e-9 past it, the roots of
+    # two triggers can form one cluster, and |f| is evaluated only for a
+    # cluster of two or more
     scan = eigensolver._Scan(_case(2.3, Mode.PLANE_SYM), 0.3, None)
-    seen = _record_bracket_args(monkeypatch)
-    assert scan.merged([1.5, 2.5]) == [1.5, 2.5]
-    assert seen == []
+    refined = {1.4: [1.5], 2.4: [2.5], 2.5: [2.5 + 1e-10], 3.0: []}
+    refines = []
+
+    def triggers():
+        yield 1.0, None, None
+        for lo in refined:
+            yield lo, lo + 0.2, False
+        yield math.inf, None, None
+
+    def refine(lo, hi, dip):
+        refines.append(lo)
+        return refined[lo]
+
+    monkeypatch.setattr(scan, "triggers", triggers)
+    monkeypatch.setattr(scan, "_refine", refine)
     pair = [2.5, 2.5 + 1e-10]
-    merged = scan.merged(pair)
+    best = min(pair, key=lambda p: abs(scan.f(p)))
+    seen = _record_bracket_args(monkeypatch)
+    stream = scan.roots()
+    assert (next(stream), refines, seen) == (1.5, [1.4], [])
+    assert (next(stream), refines) == (best, [1.4, 2.4, 2.5])
     assert seen == [(float, "math")] * 2
-    assert merged == [min(pair, key=lambda p: abs(scan.f(p)))]
+    assert list(stream) == [] and refines == [1.4, 2.4, 2.5, 3.0]
+    # the cells of two dips one cell apart overlap: their roots are sorted
+    refined = {2.0: [2.0015], 2.001: [2.0012]}
+    assert list(scan.roots()) == [2.0012, 2.0015]
+
+
+@pytest.mark.parametrize("scan", [find_roots, smallest_exponents])
+def test_warnings_are_credited_to_the_caller(scan):
+    # every plane crack root is a touch root, each with its NoSignChange
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scan(_case(math.pi, Mode.PLANE_SYM), 0.3)
+    assert caught
+    assert all(issubclass(w.category, NoSignChange) for w in caught)
+    assert {w.filename for w in caught} == {__file__}
 
 
 def _roots_and_touches(case, nu):
