@@ -25,7 +25,37 @@ REQUESTS = (
      for mode in _MODES for angle in _ANGLES]
     + [("sweep", "--from", "90", "--to", "180", "--step", "1", "--mode",
         *mode) for mode in _MODES]
-    + [("check", "--suite", "all", "--seed", "0")])
+    + [("check", "--suite", "all", "--seed", "0")]
+    + [("field", *argv) for argv in (
+        ("--mode", "ps-sym", "--angle-deg", "135", "--nu", "0.3",
+         "--eig-index", "1", "--amps", "1", "--r", "0.5,2",
+         "--theta-steps", "9"),
+        # index 3 at 135 deg is a touch root of nullity 2
+        ("--mode", "ps-sym", "--angle-deg", "135", "--nu", "0.3",
+         "--eig-index", "3", "--amps", "1,-0.5", "--r", "0.5,2",
+         "--theta-steps", "9"),
+        ("--mode", "ps-anti", "--angle-deg", "135", "--nu", "0.3",
+         "--eig-index", "1", "--amps", "0.7,1.2", "--r", "1",
+         "--theta-steps", "9", "--with-p1", "0.4"),
+        ("--mode", "ps-sym", "--angle-deg", "180", "--nu", "-0.5",
+         "--eig-index", "1", "--amps", "1,0.5", "--r", "0.25,1",
+         "--theta-steps", "7", "--with-p1", "1,0.5"),
+        ("--mode", "ap", "--angle-deg", "135", "--eig-index", "1",
+         "--amps", "1", "--r", "0.5,1,2", "--theta-steps", "9"),
+        ("--mode", "ap", "--angle-deg", "180", "--eig-index", "2",
+         "--amps", "-1.5", "--r", "1", "--theta-steps", "9",
+         "--with-p1", "0.3"))]
+    + [("equilibrium", "--mode", mode, "--angle-deg", "180", "--nu", nu,
+        "--amps", amps, *r0) for mode, nu, amps, r0 in (
+        ("I", "0.3", "1.1,0.7", ()), ("I", "-0.9", "1,0", ()),
+        ("II", "0.3", "0.9,-0.6", ("--r0", "0.1")),
+        ("II", "0.4999", "1,0", ()))]
+    + [("equilibrium", "--mode", mode, "--angle-deg", angle, "--nu", nu,
+        "--amps", "1" if (mode, angle) == ("notch-sym", "135") else "1,-0.7")
+       for mode, angle, nu in (
+        [(mode, angle, "0.3") for mode in ("notch-sym", "notch-anti")
+         for angle in ("90", "135", "180")]
+        + [("notch-sym", "135", "-0.5"), ("notch-anti", "135", "0.4999")])])
 
 GOLDEN = {
     "eig --angle-deg 90 --mode ap":
@@ -66,6 +96,50 @@ GOLDEN = {
         "c4105d59d40f3be75dd4ceb4f49a91f85821f163fea8eb565e1325aa60563630",
     "check --suite all --seed 0":
         "e68cf21591f6d9547aac10ffeca8a30ca72848e121b94e5ee325c78e90234a5c",
+    "field --mode ps-sym --angle-deg 135 --nu 0.3 --eig-index 1 --amps 1 "
+    "--r 0.5,2 --theta-steps 9":
+        "49f0618d6fbdb731c61faf2d9a0db2df1544384d32ed246dbf3da698d7af9671",
+    "field --mode ps-sym --angle-deg 135 --nu 0.3 --eig-index 3 "
+    "--amps 1,-0.5 --r 0.5,2 --theta-steps 9":
+        "34d3347e5b246784dad2222b6bc3d496b24be02176ba634bf9d876532879a092",
+    "field --mode ps-anti --angle-deg 135 --nu 0.3 --eig-index 1 "
+    "--amps 0.7,1.2 --r 1 --theta-steps 9 --with-p1 0.4":
+        "bff36f4e2fe1da523e9bae9a0cd1d8c13f8376f3da7099500b90efacd19da064",
+    "field --mode ps-sym --angle-deg 180 --nu -0.5 --eig-index 1 "
+    "--amps 1,0.5 --r 0.25,1 --theta-steps 7 --with-p1 1,0.5":
+        "20b090fc9468e7160525b7b7ad23a8857acf919eee78c85cdbe86c9a258e08a5",
+    "field --mode ap --angle-deg 135 --eig-index 1 --amps 1 --r 0.5,1,2 "
+    "--theta-steps 9":
+        "48a0e2dcda1b6b2aba8d385d58f8eebf20c37bc3770ab22ba9a57ef1ea0cf27a",
+    "field --mode ap --angle-deg 180 --eig-index 2 --amps -1.5 --r 1 "
+    "--theta-steps 9 --with-p1 0.3":
+        "387d511c0e00f04c69fa2dcab395bc97fa2b286a8ab9a69306b090f29b266a89",
+    "equilibrium --mode I --angle-deg 180 --nu 0.3 --amps 1.1,0.7":
+        "3d701acf9b77daea868fd9514e5b4c6f836cc8715fb43eda7f7225e6925848f1",
+    "equilibrium --mode I --angle-deg 180 --nu -0.9 --amps 1,0":
+        "5b7c4f0b7bdfc38ae392bd1dae56f48fc5dd8c40911b566c971ad9b3c0d1bd62",
+    "equilibrium --mode II --angle-deg 180 --nu 0.3 --amps 0.9,-0.6 "
+    "--r0 0.1":
+        "a96a29235d18db5d92a9e0901b8bf66e940b2ea7626549c6c3ca10972317622a",
+    "equilibrium --mode II --angle-deg 180 --nu 0.4999 --amps 1,0":
+        "9f90105380b4802c81deb8398f74d0ff9f5fab079d5f18acd16eb977a8c1d7b3",
+    "equilibrium --mode notch-sym --angle-deg 90 --nu 0.3 --amps 1,-0.7":
+        "b7aa26414b9d1667f2c95eed1a541d454259184c991faa69da1ba874602372de",
+    "equilibrium --mode notch-sym --angle-deg 135 --nu 0.3 --amps 1":
+        "54b4c971312fc9b53634b3fa71246e6c49c56edea2cdd9e055f624b5e48e720b",
+    "equilibrium --mode notch-sym --angle-deg 180 --nu 0.3 --amps 1,-0.7":
+        "fcc944083728c8ed0a71973a3deb9e386fb3d8f850e665b288cf3039083eb68c",
+    "equilibrium --mode notch-anti --angle-deg 90 --nu 0.3 --amps 1,-0.7":
+        "89604a831eeaf77be8b21efc1a8f395c42579407c1cc8d098c5653b2aa8bf655",
+    "equilibrium --mode notch-anti --angle-deg 135 --nu 0.3 --amps 1,-0.7":
+        "ff5af1923329c24ffca0467c7f325e0b1ae66aea94b1d43351fc017790d6edf7",
+    "equilibrium --mode notch-anti --angle-deg 180 --nu 0.3 --amps 1,-0.7":
+        "0cf3cd087d8dfec49e45d71d3728b3b2b2f5f6df5bbe50bea62d1428dbb68368",
+    "equilibrium --mode notch-sym --angle-deg 135 --nu -0.5 --amps 1":
+        "8045977c116d988d8ee6b1af44b6a07ca1316d5e1e0f5407864b956a685eddba",
+    "equilibrium --mode notch-anti --angle-deg 135 --nu 0.4999 "
+    "--amps 1,-0.7":
+        "7f126bb9584c97f790b78dbeff253426ca918544a9c29bd09ba2a86494c3df2e",
 }
 
 
