@@ -40,6 +40,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import warnings
@@ -136,27 +137,32 @@ def _fmt(value: float) -> str:
     return "%.17g" % float(value)
 
 
+_json_str = json.encoder.encode_basestring_ascii
+_by_key = operator.itemgetter(0)
+
+
 def _to_json(obj) -> str:
     """Compact JSON with sorted keys and 17-digit floats. A non-finite
-    float raises ValueError, as json.dumps(allow_nan=False) does."""
+    float raises ValueError, as json.dumps(allow_nan=False) does; keys and
+    strings take json.dumps's ASCII escapes."""
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"{obj!r} is not a JSON number")
+        return _fmt(obj)
+    if isinstance(obj, dict):
+        return "{" + ",".join([
+            _json_str(str(k)) + ":" + _to_json(v)
+            for k, v in sorted(obj.items(), key=_by_key)]) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join([_to_json(v) for v in obj]) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _json_str(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError(f"{obj!r} is not a JSON number")
-        return _fmt(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_to_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: kv[0])
-        return "{" + ",".join(
-            json.dumps(str(k)) + ":" + _to_json(v) for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

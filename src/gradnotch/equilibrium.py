@@ -19,6 +19,7 @@ precision or the check aborts rather than report a fortuitous balance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -121,11 +122,14 @@ def _corners(m: dict, r0: float, a: float) -> CornerForces:
     )
 
 
+@functools.cache
 def _clenshaw_curtis(n: int) -> tuple:
     """Clenshaw-Curtis rule on [-1, 1]: nodes cos(k pi / n), k = 0..n, and
     their weights from one inverse FFT (Waldvogel 2006, BIT 46:195).
 
-    The n-rule nodes are the even-index nodes of the 2n rule, bit for bit.
+    The rule depends on n only, so each is built once, on first use, and
+    shared: both arrays are read-only. The n-rule nodes are the even-index
+    nodes of the 2n rule, bit for bit.
     """
     nodes = np.cos(np.pi * np.arange(n + 1) / n)
     odd = np.arange(1.0, n, 2.0)
@@ -135,7 +139,9 @@ def _clenshaw_curtis(n: int) -> tuple:
     g[odd.size] += n
     g[n - odd.size] += n
     w = np.fft.ifft(-v[:-1] - v[:0:-1] + g / (n * n - 1 + n % 2)).real
-    return nodes, np.append(w, w[0])
+    weights = np.append(w, w[0])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _quad_arc(series_list, r0: float, a: float) -> tuple:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -138,6 +139,14 @@ class Term(NamedTuple):
     kind: str  # "cos" | "sin"
 
 
+_KEY = itemgetter(1, 2, 3)  # a Term's storage key (r_exp, freq, kind)
+
+
+def _snap(r_exp: float) -> float:
+    """r_exp as _canonical stores it: zero within KEY_TOL of zero."""
+    return 0.0 if abs(r_exp) <= KEY_TOL else r_exp
+
+
 def _canonical(raw_terms) -> tuple:
     """Normalize, merge, prune, and sort terms into canonical form.
 
@@ -166,26 +175,36 @@ def _canonical(raw_terms) -> tuple:
             freq = -freq
             if kind == "sin":
                 coef = -coef
-        if abs(r_exp) <= KEY_TOL:
-            r_exp = 0.0
-        norm.append((r_exp, freq, kind, coef))
+        norm.append(Term(coef, _snap(r_exp), freq, kind))
+    return tuple(_ordered(norm))
 
-    # one stable sort into storage order: equal keys stay in input order
-    norm.sort(key=lambda t: t[:3])
+
+def _ordered(norm) -> list:
+    """The rest of _canonical, on terms it would not normalize further.
+
+    One stable sort into storage order (equal keys stay in input order),
+    the merge of neighbours within KEY_TOL, the refusal of a coefficient
+    that is not finite, and the prune below PRUNE_REL of the largest.
+    """
     merged = []
-    for r_exp, freq, kind, coef in norm:
-        if merged:
-            e0, f0, k0, c0 = merged[-1]
-            if kind == k0 and abs(freq - f0) <= KEY_TOL and abs(r_exp - e0) <= KEY_TOL:
-                merged[-1] = (e0, f0, k0, c0 + coef)
-                continue
-        merged.append((r_exp, freq, kind, coef))
-
-    coefs = [t[3] for t in merged]
-    if not all(map(math.isfinite, coefs)):
+    k0 = None
+    for term in sorted(norm, key=_KEY):
+        c, e, f, k = term
+        if k == k0 and abs(f - f0) <= KEY_TOL and abs(e - e0) <= KEY_TOL:
+            merged[-1] = Term(merged[-1].coef + c, e0, f0, k0)
+        else:
+            merged.append(term)
+            e0, f0, k0 = e, f, k
+    sizes = [abs(t.coef) for t in merged]
+    if not all(map(math.isfinite, sizes)):
         raise OverflowError("a series coefficient is not finite")
-    cut = PRUNE_REL * max(map(abs, coefs), default=0.0)
-    return tuple(Term(c, e, f, k) for e, f, k, c in merged if abs(c) > cut)
+    cut = PRUNE_REL * max(sizes, default=0.0)
+    return [t for t in merged if abs(t.coef) > cut]
+
+
+class _Canonical(tuple):
+    """Terms already in canonical form, which PolarSeries stores as they
+    are instead of running _canonical on them."""
 
 
 @dataclass(frozen=True)
@@ -197,12 +216,24 @@ class PolarSeries:
     multiplication by a fixed r power, and series-by-series multiplication
     (trig products are rewritten as sums). Instances are immutable and
     always kept in canonical form.
+
+    Scaling, negation, subtraction, addition, d/dr, d/dtheta, division by
+    r and multiplication by an r power keep that form without re-running
+    _canonical. On canonical operands its normalization changes nothing
+    but zero coefficients (dropped) and shifted r exponents within KEY_TOL
+    of zero (snapped), which these operations handle themselves; they run
+    only its sort, merge and prune (_ordered) and so return the bits that
+    _canonical would. Raw construction, series products and
+    integrate_theta run the whole routine. Every instance passes through
+    __post_init__.
     """
 
     terms: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _canonical(self.terms))
+        terms = self.terms
+        object.__setattr__(self, "terms", tuple(terms)
+                           if type(terms) is _Canonical else _canonical(terms))
 
     # -- construction ---------------------------------------------------
 
@@ -214,11 +245,12 @@ class PolarSeries:
 
     def scaled(self, k) -> "PolarSeries":
         k = float(k)
-        return PolarSeries(tuple((t.coef * k, t.r_exp, t.freq, t.kind)
-                                 for t in self.terms))
+        return _from_normalized([Term(c, e, f, kind)
+                             for coef, e, f, kind in self.terms
+                             if (c := coef * k)])
 
     def __add__(self, other: "PolarSeries") -> "PolarSeries":
-        return PolarSeries(self.terms + other.terms)
+        return _from_normalized(self.terms + other.terms)
 
     def __sub__(self, other: "PolarSeries") -> "PolarSeries":
         return self + other.scaled(-1.0)
@@ -255,18 +287,20 @@ class PolarSeries:
 
     def dr(self) -> "PolarSeries":
         """Exact partial derivative with respect to r."""
-        return PolarSeries(tuple((t.coef * t.r_exp, t.r_exp - 1.0, t.freq, t.kind)
-                                 for t in self.terms))
+        return _from_normalized([Term(c, _snap(e - 1.0), f, kind)
+                             for coef, e, f, kind in self.terms
+                             if (c := coef * e)])
 
     def dtheta(self) -> "PolarSeries":
         """Exact partial derivative with respect to theta."""
         out = []
-        for t in self.terms:
-            if t.kind == "cos":
-                out.append((-t.coef * t.freq, t.r_exp, t.freq, "sin"))
-            else:
-                out.append((t.coef * t.freq, t.r_exp, t.freq, "cos"))
-        return PolarSeries(tuple(out))
+        for coef, e, f, kind in self.terms:
+            if kind == "cos":
+                if c := -coef * f:
+                    out.append(Term(c, e, f, "sin"))
+            elif c := coef * f:
+                out.append(Term(c, e, f, "cos"))
+        return _from_normalized(out)
 
     def div_r(self) -> "PolarSeries":
         """Multiplication by 1/r."""
@@ -275,8 +309,8 @@ class PolarSeries:
     def times_r_power(self, k) -> "PolarSeries":
         """Multiplication by r**k."""
         k = float(k)
-        return PolarSeries(tuple((t.coef, t.r_exp + k, t.freq, t.kind)
-                                 for t in self.terms))
+        return _from_normalized([Term(coef, _snap(e + k), f, kind)
+                             for coef, e, f, kind in self.terms])
 
     def integrate_theta(self, a) -> "PolarSeries":
         """Exact integral over theta in [-a, a]; result depends on r only."""
@@ -318,6 +352,12 @@ class PolarSeries:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+
+def _from_normalized(terms) -> PolarSeries:
+    """The series of terms that _canonical's normalization would leave as
+    they are: nonzero float coefficients, normalized keys."""
+    return PolarSeries(_Canonical(_ordered(terms)))
 
 
 _ZERO = PolarSeries(())

@@ -32,9 +32,12 @@ oracles are:
 - the determinant-zero check as a loop over its grid
   (det_vs_charfn_loop);
 - the series canonical form that merges in (kind, freq, r_exp) order and
-  sorts again to store (canonical_two_sorts).
+  sorts again to store (canonical_two_sorts);
+- the CLI's JSON writer as it was written first, one recursive call and
+  one json.dumps per value (to_json_per_value).
 """
 
+import json
 import math
 
 import mpmath
@@ -750,3 +753,33 @@ def canonical_two_sorts(raw_terms) -> tuple:
     kept = [Term(c, e, f, k) for k, f, e, c in merged if abs(c) > cut]
     kept.sort(key=lambda t: (t.r_exp, t.freq, t.kind))
     return tuple(kept)
+
+
+# ----------------------------------------------------------------------
+# JSON writer, one call per value
+# ----------------------------------------------------------------------
+
+def to_json_per_value(obj) -> str:
+    """cli._to_json as it was written first: compact JSON with sorted
+    keys and 17-digit floats, json.dumps for every key and string, and a
+    non-finite float refused with ValueError."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"{obj!r} is not a JSON number")
+        return "%.17g" % float(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(to_json_per_value(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: kv[0])
+        return "{" + ",".join(
+            json.dumps(str(k)) + ":" + to_json_per_value(v)
+            for k, v in items) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gradnotch import basis, cli
 from gradnotch.basis import attach_p1, eigenfield
 from gradnotch.cli import main
@@ -733,6 +734,35 @@ def test_json_keeps_finite_numbers():
                                  '1.7976931348623157e+308,2]}')
     assert json.loads(cli._to_json(doc)) == json.loads(
         json.dumps(doc, default=float))
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.booleans().map(np.bool_),
+    st.integers(-2**70, 2**70), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(), st.floats().map(np.float64), st.text(),
+    st.just(object()))
+_JSON_DOCS = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4),
+    st.dictionaries(st.one_of(st.text(), st.integers()), inner, max_size=3)),
+    max_leaves=24)
+
+
+def _written(writer, doc):
+    try:
+        return writer(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@given(_JSON_DOCS)
+@settings(max_examples=400, deadline=None)
+def test_json_writer_matches_the_per_value_writer(doc):
+    # nested documents with non-ASCII keys and strings, numpy scalars and
+    # tuples: the same bytes, or the same refusal (non-finite float,
+    # unserializable value, keys that do not sort)
+    assert _written(cli._to_json, doc) == _written(
+        oracles.to_json_per_value, doc)
 
 
 # ----------------------------------------------------------------------

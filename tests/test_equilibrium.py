@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import mpmath
@@ -109,6 +112,27 @@ def test_interior_notch_eigenfield_balances():
             assert report.passed, (mode, r0, report.residuals)
 
 
+@pytest.mark.parametrize("nu", [-0.9, -0.5])
+@pytest.mark.parametrize("label, angle_deg", [
+    ("I", 180.0), ("II", 180.0),
+    *[(label, angle) for label in ("notch-sym", "notch-anti")
+      for angle in (90.0, 135.0, 180.0)]])
+def test_negative_poisson_ratio_balances(label, angle_deg, nu):
+    # the CLI accepts nu in (-1, 1/2); the crack modes run at 180 deg only
+    if label in ("I", "II"):
+        field, mat = _crack_field(label, (1.1, 0.7), nu)
+    else:
+        mode = Mode.PLANE_SYM if label == "notch-sym" else Mode.PLANE_ANTI
+        case = WedgeCase(half_angle_a=math.radians(angle_deg), mode=mode)
+        mat = MaterialParams(nu=nu)
+        sol = eigenfield(case, mat, smallest_exponents(case, nu).p)
+        field = sol.combined_field([1.0, -0.7][:sol.nullity],
+                                   include_p1=False)
+    for r0 in (0.1, 1.0):
+        report = check_equilibrium(field, mat, r0, math.radians(angle_deg))
+        assert report.passed, (label, angle_deg, nu, r0, report.residuals)
+
+
 def test_verdict_is_scale_invariant_in_radius():
     field, mat = _crack_field("I", (1.0, 0.0), 0.3)
     verdicts = [check_equilibrium(field, mat, r0, math.pi).passed
@@ -186,6 +210,23 @@ def test_clenshaw_curtis_integrates_arc_trig_integrands(n, a):
             got = a * np.dot(weights, trig(k * a * nodes))
             want = mpmath.quad(lambda t: mp_trig(k * t), [-a, 0, a])
             assert abs(got - float(want)) < 1e-14, (k, trig)
+
+
+def test_clenshaw_curtis_rules_are_built_once_and_read_only():
+    nodes, weights = equilibrium._clenshaw_curtis(64)
+    again = equilibrium._clenshaw_curtis(64)
+    assert again[0] is nodes and again[1] is weights
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+    # no rule is built at import
+    code = ("import gradnotch.cli, gradnotch.equilibrium as e; "
+            "print(e._clenshaw_curtis.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(equilibrium.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "0\n"
 
 
 def test_clenshaw_curtis_rules_nest_bit_for_bit():

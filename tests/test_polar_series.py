@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gradnotch import model
+from gradnotch.cli import main
 from gradnotch.model import KEY_TOL, PolarSeries
 
 COEFS = st.floats(min_value=-100.0, max_value=100.0,
@@ -79,10 +85,12 @@ def test_non_finite_coefficient_is_refused(raw):
 # keys that are equal (after the snap to zero and the freq sign fold) or
 # at least 2 KEY_TOL apart, so that no merge depends on the sort order
 _NEAR = 2.5 * KEY_TOL
+MERGE_COEFS = st.sampled_from([1.0, -1.0, 3.0, 0.5, 1e-15, -2.0e-15, 7.25,
+                               -7.25])
+MERGE_R_EXPS = st.sampled_from([-1.0, 0.0, 0.5 * KEY_TOL, -0.5 * KEY_TOL,
+                                0.5, 0.5 + _NEAR, 1.5, 2.0])
 MERGE_TERMS = st.tuples(
-    st.sampled_from([1.0, -1.0, 3.0, 0.5, 1e-15, -2.0e-15, 7.25, -7.25]),
-    st.sampled_from([-1.0, 0.0, 0.5 * KEY_TOL, -0.5 * KEY_TOL, 0.5,
-                     0.5 + _NEAR, 1.5, 2.0]),
+    MERGE_COEFS, MERGE_R_EXPS,
     st.sampled_from([0.0, 0.5 * KEY_TOL, -0.5 * KEY_TOL, 0.5, -0.5,
                      0.5 + _NEAR, -0.5 - _NEAR, 1.0, 2.5]),
     KINDS)
@@ -99,6 +107,189 @@ def test_one_sort_canonical_form_matches_two_sorts(raw):
 
     assert (bits(PolarSeries(tuple(raw)).terms)
             == bits(oracles.canonical_two_sorts(raw)))
+
+
+# ----------------------------------------------------------------------
+# operations that keep canonical form: the bits of _canonical on the terms
+# each one built before it kept that form
+# ----------------------------------------------------------------------
+
+def _bits(build):
+    """Every field of build()'s terms, or OverflowError if it raises."""
+    try:
+        series = build()
+    except OverflowError:
+        return OverflowError
+    assert type(series.terms) is tuple
+    return [(t.coef.hex(), t.r_exp.hex(), t.freq.hex(), t.kind)
+            for t in series.terms]
+
+
+def _raw(s, coef, r_exp=lambda t: t.r_exp, kind=lambda t: t.kind):
+    return PolarSeries(tuple((coef(t), r_exp(t), t.freq, kind(t))
+                             for t in s.terms))
+
+
+def _flip(t):
+    return "sin" if t.kind == "cos" else "cos"
+
+
+# r exponents one above those of MERGE_TERMS, so that d/dr lands within
+# KEY_TOL of zero, and shifts that do the same from MERGE_TERMS' exponents
+SHIFTED_TERMS = st.tuples(
+    MERGE_COEFS, MERGE_R_EXPS.map(lambda e: e + 1.0),
+    st.sampled_from([0.0, 0.5, 0.5 + _NEAR, 1.0, 2.5]), KINDS)
+# keys within KEY_TOL of each other but not equal: a canonical series keeps
+# two of them where a term of the other kind sorts between them or was
+# pruned from between them, and the merge of a sum keeps the first key
+WITHIN_TERMS = st.tuples(
+    MERGE_COEFS, st.sampled_from([0.5, 0.5 + 0.4 * KEY_TOL,
+                                  0.5 + 0.8 * KEY_TOL]),
+    st.sampled_from([1.0, 1.0 + 0.6 * KEY_TOL]), KINDS)
+CANONICAL = st.lists(st.one_of(MERGE_TERMS, SHIFTED_TERMS, WITHIN_TERMS),
+                     max_size=12).map(lambda raw: PolarSeries(tuple(raw)))
+# a cos and a sin term at each drawn key, whose order d/dtheta reverses
+PAIRED = st.lists(st.tuples(MERGE_TERMS, MERGE_COEFS), max_size=8).map(
+    lambda pairs: PolarSeries(tuple(
+        term for (c, e, f, k), c2 in pairs
+        for term in ((c, e, f, k), (c2, e, f, "sin" if k == "cos" else "cos")))))
+SCALES = st.sampled_from([1.0, -1.0, 2.5, -0.3, 1e-15, 1e-300, -1e-300,
+                          5e-324, 1e300, -1e300, 1e308, 0.0, -0.0,
+                          math.inf, -math.inf, math.nan])
+SHIFTS = st.sampled_from([1.0, -1.0, 0.5, -0.5, -0.5 - 0.4 * KEY_TOL,
+                          -0.5 + 0.6 * KEY_TOL, -1.5 + 0.8 * KEY_TOL,
+                          -2.0 - KEY_TOL, 0.4 * KEY_TOL, -_NEAR, 1e-20,
+                          -1.0 + 1e-16, 1e16])
+
+
+@given(CANONICAL, SCALES)
+@settings(max_examples=300)
+def test_scaling_keeps_the_bits_of_the_full_canonical_form(s, k):
+    # underflow to zero or under the prune cut, overflow to OverflowError
+    assert _bits(lambda: s.scaled(k)) == _bits(
+        lambda: _raw(s, lambda t: t.coef * k))
+    assert _bits(lambda: -s) == _bits(lambda: _raw(s, lambda t: -t.coef))
+
+
+@given(CANONICAL, CANONICAL, st.sampled_from([1.0, -1.0, 1e-15, 1e15]))
+@settings(max_examples=300)
+def test_addition_keeps_the_bits_of_the_full_canonical_form(s1, s2, k):
+    # equal keys merge with s1's term first, near keys within KEY_TOL, and
+    # a sum at another scale prunes the smaller operand's terms
+    s2 = s2.scaled(k)
+    assert _bits(lambda: s1 + s2) == _bits(
+        lambda: PolarSeries(s1.terms + s2.terms))
+    assert _bits(lambda: s1 - s2) == _bits(
+        lambda: PolarSeries(s1.terms + _raw(s2, lambda t: -t.coef).terms))
+
+
+@given(CANONICAL, SHIFTS)
+@settings(max_examples=300)
+def test_shifts_keep_the_bits_of_the_full_canonical_form(s, k):
+    # shifted exponents within KEY_TOL of zero snap to it, and exponents
+    # a shift brings within KEY_TOL of each other merge
+    assert _bits(lambda: s.times_r_power(k)) == _bits(
+        lambda: _raw(s, lambda t: t.coef, lambda t: t.r_exp + k))
+    assert _bits(s.div_r) == _bits(
+        lambda: _raw(s, lambda t: t.coef, lambda t: t.r_exp - 1.0))
+    assert _bits(s.dr) == _bits(
+        lambda: _raw(s, lambda t: t.coef * t.r_exp, lambda t: t.r_exp - 1.0))
+
+
+@given(st.one_of(CANONICAL, PAIRED))
+@settings(max_examples=300)
+def test_angular_derivative_keeps_the_bits_of_the_full_canonical_form(s):
+    # cos and sin swap, so pairs sharing (r_exp, freq) swap places too
+    assert _bits(s.dtheta) == _bits(lambda: _raw(
+        s, lambda t: (-t.coef if t.kind == "cos" else t.coef) * t.freq,
+        kind=_flip))
+
+
+def test_merge_within_key_tol_keeps_the_first_key():
+    s = (PolarSeries.single(2.0, 1.5, 0.5, "cos")
+         + PolarSeries.single(3.0, 1.5 + 0.5 * KEY_TOL, 0.5, "cos"))
+    assert s.terms == ((5.0, 1.5, 0.5, "cos"),)
+
+
+def test_a_coefficient_that_becomes_zero_drops_before_the_merge():
+    # the middle term keeps its neighbours, cos terms at keys within
+    # KEY_TOL, apart; once it becomes zero they merge, as in the full
+    # canonical form
+    def around(middle, c=1.0):
+        return PolarSeries(((c, 0.5, 1.0, "cos"), middle,
+                            (3.0 * c, 0.5 + 0.8 * KEY_TOL, 1.0, "cos")))
+
+    # scaling underflows it
+    scaled = around((0.5, 0.5, 1.0, "sin")).scaled(5e-324)
+    assert scaled.terms == ((2e-323, 0.5, 1.0, "cos"),)
+    # d/dtheta zeroes a cos term of zero frequency, or underflows a sin
+    # term of subnormal coefficient
+    e = 0.5 + 0.4 * KEY_TOL
+    for middle, c in [((2.0, e, 0.0, "cos"), 1.0),
+                      ((1e-323, e, 0.1, "sin"), 1e-310)]:
+        s = around(middle, c)
+        assert len(s.terms) == 3
+        assert s.dtheta().terms == ((-(c + 3.0 * c), 0.5, 1.0, "sin"),)
+
+
+def test_sum_merges_self_first_on_equal_keys():
+    # each operand holds two cos terms within KEY_TOL, adjacent once the
+    # sin term between them is pruned; the four terms of the sum merge in
+    # one group, self's term first at each key, and the order shows in the
+    # last bit of the sum
+    def operand(near, far):
+        return PolarSeries(((near, 0.5, 1.0, "cos"), (1e-15, 0.5, 1.0, "sin"),
+                            (far, 0.5 + 0.5 * KEY_TOL, 1.0, "cos")))
+
+    s1, s2 = operand(3.3, 0.3), operand(1.1, 7.7)
+    assert len(s1.terms) == len(s2.terms) == 2
+    assert (s1 + s2).terms == PolarSeries(s1.terms + s2.terms).terms
+    assert (s1 + s2).terms[0].coef == ((3.3 + 1.1) + 0.3) + 7.7
+    assert (s2 + s1).terms[0].coef == ((1.1 + 3.3) + 7.7) + 0.3
+    assert (s1 + s2).terms != (s2 + s1).terms
+
+
+def test_huge_derivative_coefficient_is_refused():
+    s = PolarSeries.single(1e300, 0.5, 1e10, "cos")
+    with pytest.raises(OverflowError):
+        s.dtheta()
+    with pytest.raises(OverflowError):
+        PolarSeries.single(1e300, 1e10, 0.5, "cos").dr()
+
+
+def test_equilibrium_request_canonicalizes_only_raw_terms(monkeypatch):
+    # the operations that keep canonical form never run the full routine;
+    # only raw construction (single, assemble_field), series products and
+    # integrate_theta do
+    callers = Counter()
+    kept = Counter()
+    canonical = model._canonical
+    from_normalized = model._from_normalized
+
+    def name(frame):
+        while frame.f_code.co_name.startswith("<"):   # a comprehension
+            frame = frame.f_back
+        return frame.f_code.co_name
+
+    def full(raw_terms):
+        # the caller of PolarSeries, past __post_init__ and __init__
+        callers[name(sys._getframe(3))] += 1
+        return canonical(raw_terms)
+
+    def fast(terms):
+        kept[name(sys._getframe(1))] += 1
+        return from_normalized(terms)
+
+    monkeypatch.setattr(model, "_canonical", full)
+    monkeypatch.setattr(model, "_from_normalized", fast)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["equilibrium", "--mode", "notch-anti", "--angle-deg",
+                     "135", "--nu", "-0.5", "--amps", "1,-0.7"]) == 0
+    assert set(callers) == {"single", "assemble_field", "_series_product",
+                            "integrate_theta"}
+    assert set(kept) == {"scaled", "__add__", "times_r_power", "dr",
+                         "dtheta"}
+    assert sum(kept.values()) > 4 * sum(callers.values())
 
 
 @given(SERIES)
