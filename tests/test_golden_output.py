@@ -44,7 +44,24 @@ REQUESTS = (
          "--amps", "1", "--r", "0.5,1,2", "--theta-steps", "9"),
         ("--mode", "ap", "--angle-deg", "180", "--eig-index", "2",
          "--amps", "-1.5", "--r", "1", "--theta-steps", "9",
-         "--with-p1", "0.3"))]
+         "--with-p1", "0.3"),
+        # 602 rows: several blocks of rows, the last one partial
+        ("--mode", "ps-sym", "--angle-deg", "150", "--nu", "0.3",
+         "--eig-index", "1", "--amps", "1", "--r", "0.5,2",
+         "--theta-steps", "301"),
+        # the p = 1 entry: exact zeros in every gradient column
+        ("--mode", "ap", "--angle-deg", "180", "--eig-index", "0",
+         "--amps", "1", "--r", "1,2", "--theta-steps", "9"),
+        ("--mode", "ps-sym", "--angle-deg", "135", "--nu", "0.3",
+         "--eig-index", "0", "--amps", "1,0.5", "--r", "1",
+         "--theta-steps", "9"),
+        # values with two- and three-digit exponents, both signs
+        ("--mode", "ps-sym", "--angle-deg", "135", "--nu", "0.3",
+         "--eig-index", "1", "--amps", "1e-30", "--r", "1e-40,0.5,2e40",
+         "--theta-steps", "9"),
+        ("--mode", "ps-sym", "--angle-deg", "135", "--nu", "0.3",
+         "--eig-index", "1", "--amps", "1e25", "--r", "1e-60,1,1e40",
+         "--theta-steps", "9"))]
     + [("equilibrium", "--mode", mode, "--angle-deg", "180", "--nu", nu,
         "--amps", amps, *r0) for mode, nu, amps, r0 in (
         ("I", "0.3", "1.1,0.7", ()), ("I", "-0.9", "1,0", ()),
@@ -114,6 +131,21 @@ GOLDEN = {
     "field --mode ap --angle-deg 180 --eig-index 2 --amps -1.5 --r 1 "
     "--theta-steps 9 --with-p1 0.3":
         "387d511c0e00f04c69fa2dcab395bc97fa2b286a8ab9a69306b090f29b266a89",
+    "field --mode ps-sym --angle-deg 150 --nu 0.3 --eig-index 1 --amps 1 "
+    "--r 0.5,2 --theta-steps 301":
+        "eab88e47feadb244ca669a95957c9b569c9b5947cbce2c51a831fc69c154785f",
+    "field --mode ap --angle-deg 180 --eig-index 0 --amps 1 --r 1,2 "
+    "--theta-steps 9":
+        "2b505b9a710d54c85234a39e14384b5b9a51805c8d3a92859c22cd9fb140270d",
+    "field --mode ps-sym --angle-deg 135 --nu 0.3 --eig-index 0 "
+    "--amps 1,0.5 --r 1 --theta-steps 9":
+        "85b78ffd9384e238d42343a21aa3c9745087e1b66ebaf29205e80270d466f0d2",
+    "field --mode ps-sym --angle-deg 135 --nu 0.3 --eig-index 1 "
+    "--amps 1e-30 --r 1e-40,0.5,2e40 --theta-steps 9":
+        "e4fb4000d17aea1d7e5c21dec8e46d2feb4052195348ffd6fe6269e3d3c6f8b0",
+    "field --mode ps-sym --angle-deg 135 --nu 0.3 --eig-index 1 "
+    "--amps 1e25 --r 1e-60,1,1e40 --theta-steps 9":
+        "9eed123072252236a1bddf990e6ba496841cfc1e22a0a38fc1132d1364d66f67",
     "equilibrium --mode I --angle-deg 180 --nu 0.3 --amps 1.1,0.7":
         "3d701acf9b77daea868fd9514e5b4c6f836cc8715fb43eda7f7225e6925848f1",
     "equilibrium --mode I --angle-deg 180 --nu -0.9 --amps 1,0":
