@@ -16,7 +16,9 @@ radians internally once. All numeric output uses 17 significant digits
 sorted keys; CSV uses LF line endings and needs no quoting. '-' as an
 output path means standard output. Text goes out through `_write_text`,
 which takes one string or an iterable of chunks: `field` streams its CSV
-one block of rows at a time and never builds the whole text. An --out
+one block of rows at a time and never builds the whole text. Its values
+go through one numpy kernel (`_g17.csv_blocks`), whose bytes are those
+of '%.17g'; the other outputs use '%.17g' itself. An --out
 path that cannot be written is a usage error; one whose directory is
 missing, or that names a directory, is refused before any solve. No
 inf or nan is written: a `field` grid or an `equilibrium` report whose
@@ -74,15 +76,21 @@ _EQUILIBRIUM_MODES = {
 # about 1e5 grid points, a sweep of 10001 angles a few seconds, a field
 # grid of 1e6 rows a few hundred megabytes of CSV. The CSV is streamed,
 # so a field grid's memory is bounded by its float grid (8 bytes x
-# columns x rows, 160 MB for 1e6 plane rows), not by its text
+# columns x rows, r and theta among the columns: 176 MB for 1e6 plane
+# rows), not by its text
 _MAX_P = 100.0
 _MAX_SWEEP_ANGLES = 10001
 # the sweep's last angle may lie this far past --to
 _SWEEP_SLACK = 1e-9
 _MAX_FIELD_ROWS = 1_000_000
-# field rows turned into Python floats and text at once: what the
-# CSV stream holds on top of the float grid
-_FIELD_BLOCK_ROWS = 1024
+# field rows turned into text at once. The kernel's work arrays take
+# about 400 bytes per value of a block (0.6 MB for 64 plane rows) on top
+# of the float grid; more rows per block save little time and raise the
+# peak resident memory
+_FIELD_BLOCK_ROWS = 64
+# field rows whose series values are evaluated at once: each evaluation
+# holds about 32 bytes per row beyond the grid
+_FIELD_TILE_ROWS = 16384
 # a coarser refinement leaves roots at their scan points, where the face
 # system is too far from singular to give a null vector (from 3e-6 on,
 # some roots are reported with nullity 0)
@@ -342,22 +350,16 @@ def _field_radii(args) -> tuple:
     return radii
 
 
-def _field_csv(keys, radii, thetas, grid):
-    """The field CSV as chunks: the header, then blocks of rows.
+def _field_csv(keys, grid):
+    """The field CSV as chunks: the header, then the rows of `grid`
+    (radii x steps x columns, r and theta first), _FIELD_BLOCK_ROWS rows
+    at a time, each value formatted as '%.17g' by `_g17.csv_blocks`."""
+    # imported here: compiling it at import would add ~3 ms to the start
+    # of every subcommand
+    from ._g17 import csv_blocks
 
-    A block holds at most _FIELD_BLOCK_ROWS rows of one radius. Each row
-    is one `%` of its radius' template, which holds the r text and takes
-    the theta text (formatted once per step) and the row's values.
-    """
     yield "r,theta," + ",".join(keys) + "\n"
-    theta_text = [_fmt(theta) for theta in thetas.tolist()]
-    values_fmt = ",".join(["%.17g"] * len(keys)) + "\n"
-    for r, values in zip(radii, grid):
-        row_fmt = _fmt(r) + ",%s," + values_fmt
-        for start in range(0, len(thetas), _FIELD_BLOCK_ROWS):
-            stop = start + _FIELD_BLOCK_ROWS
-            yield "".join([row_fmt % (text, *row) for text, row in zip(
-                theta_text[start:stop], values[start:stop].tolist())])
+    yield from csv_blocks(grid.reshape(-1, grid.shape[-1]), _FIELD_BLOCK_ROWS)
 
 
 def cmd_field(args) -> int:
@@ -395,19 +397,33 @@ def cmd_field(args) -> int:
         field = field + p1_field
     series = field_series_map(field, material)
 
-    a = case.half_angle_a
-    thetas = np.linspace(-a, a, args.theta_steps)
     keys = PLANE_FIELD_KEYS if case.mode.is_plane else ANTIPLANE_FIELD_KEYS
-    grid = np.empty((len(radii), len(thetas), len(keys)))
-    r_col, theta_row = np.array(radii)[:, None], thetas[None, :]
-    # an overflow is refused, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, key in enumerate(keys):
-            grid[:, :, j] = series[key].eval(r_col, theta_row)
-    if not np.isfinite(grid).all():
-        raise OverflowError("the field grid is not finite")
-    _write_text(args.out, _field_csv(keys, radii, thetas, grid))
+    grid = _field_grid([series[key] for key in keys], radii,
+                       case.half_angle_a, args.theta_steps)
+    _write_text(args.out, _field_csv(keys, grid))
     return 0
+
+
+def _field_grid(series, radii, a, steps):
+    """The float grid (radii x steps x columns): r, theta over [-a, a] and
+    each series' values, evaluated one tile of at most _FIELD_TILE_ROWS
+    rows at a time. A value that is not finite raises OverflowError."""
+    grid = np.empty((len(radii), steps, 2 + len(series)))
+    grid[:, :, 0] = np.array(radii)[:, None]
+    grid[:, :, 1] = np.linspace(-a, a, steps)
+    tile_steps = min(steps, _FIELD_TILE_ROWS)
+    tile_radii = _FIELD_TILE_ROWS // tile_steps
+    for i in range(0, len(radii), tile_radii):
+        for k in range(0, steps, tile_steps):
+            tile = grid[i:i + tile_radii, k:k + tile_steps]
+            r_col, theta_row = tile[:, :1, 0], tile[:1, :, 1]
+            # an overflow is refused, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j, each in enumerate(series, 2):
+                    tile[:, :, j] = each.eval(r_col, theta_row)
+            if not np.isfinite(tile).all():
+                raise OverflowError("the field grid is not finite")
+    return grid
 
 
 def _combined_field(sol, amps):

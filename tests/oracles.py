@@ -34,7 +34,9 @@ oracles are:
 - the series canonical form that merges in (kind, freq, r_exp) order and
   sorts again to store (canonical_two_sorts);
 - the CLI's JSON writer as it was written first, one recursive call and
-  one json.dumps per value (to_json_per_value).
+  one json.dumps per value (to_json_per_value);
+- the CLI's field CSV writer as it was before the '%.17g' kernel, one
+  `%` of a row template per row (field_csv_per_row).
 """
 
 import json
@@ -783,3 +785,22 @@ def to_json_per_value(obj) -> str:
             json.dumps(str(k)) + ":" + to_json_per_value(v)
             for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# ----------------------------------------------------------------------
+# field CSV writer, one row at a time
+# ----------------------------------------------------------------------
+
+def field_csv_per_row(keys, radii, thetas, grid) -> str:
+    """The field CSV as cli._field_csv wrote it before its numpy kernel:
+    the header, then per radius one `%` of a row template per theta step.
+    The template holds the r text, and the theta text is formatted once
+    per step; grid is radii x steps x keys."""
+    lines = ["r,theta," + ",".join(keys) + "\n"]
+    theta_text = ["%.17g" % theta for theta in thetas.tolist()]
+    values_fmt = ",".join(["%.17g"] * len(keys)) + "\n"
+    for r, values in zip(radii, grid):
+        row_fmt = "%.17g" % r + ",%s," + values_fmt
+        lines += [row_fmt % (text, *row)
+                  for text, row in zip(theta_text, values.tolist())]
+    return "".join(lines)

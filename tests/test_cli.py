@@ -12,11 +12,13 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from gradnotch import basis, cli
@@ -472,6 +474,53 @@ def test_field_out_memory_does_not_grow_with_the_text(capsys, tmp_path):
     # the float grid alone is 40,000 rows x 20 columns x 8 bytes = 6.4 MB;
     # the text, ~17 MB, is written one block at a time
     assert peak < out_path.stat().st_size
+
+
+def test_field_out_memory_beyond_the_float_grid_is_bounded(capsys,
+                                                          tmp_path):
+    out_path = tmp_path / "field.csv"
+    argv = ["field", "--mode", "ps-sym", "--angle-deg", "150", "--nu", "0.3",
+            "--eig-index", "1", "--amps", "1", "--r", "2",
+            "--theta-steps", "100000", "--out", str(out_path)]
+    tracemalloc.start()
+    try:
+        rc, _, _ = run(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # the float grid is 100,000 rows x 22 columns x 8 bytes = 17.6 MB; the
+    # series are evaluated and the text is made a bounded block at a time
+    grid_bytes = 100_000 * (2 + len(PLANE_FIELD_KEYS)) * 8
+    assert peak - grid_bytes < 2 << 20
+
+
+_GRID_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-300, 1e300]))
+
+
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 4),
+       st.integers(1, 8), st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_field_csv_matches_the_per_row_writer(n_radii, steps, n_keys,
+                                              block_rows, data):
+    keys = PLANE_FIELD_KEYS[:n_keys]
+    radii = data.draw(st.lists(st.floats(1e-300, 1e300), min_size=n_radii,
+                               max_size=n_radii))
+    thetas = np.array(data.draw(st.lists(
+        st.floats(-math.pi, math.pi), min_size=steps, max_size=steps)))
+    values = data.draw(hnp.arrays(np.float64, (n_radii, steps, n_keys),
+                                  elements=_GRID_VALUES))
+    grid = np.empty((n_radii, steps, 2 + n_keys))
+    grid[:, :, 0] = np.array(radii)[:, None]
+    grid[:, :, 1] = thetas
+    grid[:, :, 2:] = values
+    with np.errstate(all="raise"), mock.patch.object(
+            cli, "_FIELD_BLOCK_ROWS", block_rows):
+        text = "".join(cli._field_csv(keys, grid))
+    assert text == oracles.field_csv_per_row(keys, radii, thetas, values)
 
 
 def test_field_usage_errors(capsys, monkeypatch, tmp_path):
