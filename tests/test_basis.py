@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -207,6 +208,25 @@ def test_degenerate_face_matrix_columns():
                                   0.3)
     assert sym[0, 2] == 0.0 and sym[3, 2] == 0.0
     assert scales[2] == max(abs(sym[1, 2]), abs(sym[2, 2]))
+
+
+def test_face_matrix_bits_are_pinned():
+    # the sha256 of the bytes of (matrices, col_scales) over every mode,
+    # the interval ends and just inside them, and exponents at the
+    # degeneracies p = 1, 2, 3 and on both sides of the pole p = 7 - 8 nu
+    digest = hashlib.sha256()
+    for mode in Mode:
+        for angle in (90.0, 90.0001, 135.0, 179.9999, 180.0):
+            case = _case(math.radians(angle), mode)
+            for nu in (-0.9, 0.0, 0.3, 0.4999):
+                pole = 7.0 - 8.0 * nu
+                ps = np.array([1.0 + 1e-6, 1.5, 2.0 - 6e-10, 2.0, 3.0, 3.5,
+                               pole - 1e-7, pole, pole + 1e-7])
+                matrices, scales = bc_matrix(case, ps, nu)
+                digest.update(matrices.tobytes())
+                digest.update(scales.tobytes())
+    assert digest.hexdigest() == (
+        "16075102a84f88f1cdb40339ce06cc6a2f795746e5b76ffb6aa45b77ac4d33b4")
 
 
 @pytest.mark.parametrize("mode", list(Mode))
