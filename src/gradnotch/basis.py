@@ -10,19 +10,20 @@ are its null vectors.
 
 The basis members are written down once, as a term table of
 (coef, r_exp, freq, kind) per member and displacement component
-(_member_terms; the p = 1 constant-strain members likewise). A solution
-keeps its amplitudes and the table they run over; model.assemble_field
-builds a bracket root's fields from the two on first read, so eigenfield
-builds no series but the p = 1 entry's few. The face-condition system
-has two stages, each over a whole array of exponents: bc_matrix
-assembles the closed-form face operators of fields.face_rows as one
-stack of matrices over every member, and null_space takes the null
-vectors of a stack of systems over the same kept columns with one
-stacked SVD. bc_det, singular_ratio and eigenfield are built on them;
-eigenfield takes a scalar p or a 1-D array of p, like bc_det, and solves
-an array in one pass. The constitutive series pipeline
-(apply_bc_operators) builds the same matrix by an independent route; it
-serves bc_residual and the tests as an oracle.
+(_member_terms; the p = 1 constant-strain members likewise), and their
+face operators once, in closed form (face_rows); the two share the
+member frequencies, each class's trig kinds and the third member's pole
+factor. A solution keeps its amplitudes and the table they run over;
+model.assemble_field builds a bracket root's fields from the two on
+first read, so eigenfield builds no series but the p = 1 entry's few.
+The face-condition system has two stages, each over a whole array of
+exponents: bc_matrix assembles face_rows as one stack of matrices over
+every member, and null_space takes the null vectors of a stack of
+systems over the same kept columns with one stacked SVD. bc_det,
+singular_ratio and eigenfield are built on them; eigenfield takes a
+scalar p or a 1-D array of p, like bc_det, and solves an array in one
+pass. The series pipeline, which this module does not import, builds
+the same matrix by an independent route (fields.apply_bc_operators).
 
 Degeneracies handled here:
 
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,13 +57,13 @@ from .model import (
     WedgeCase,
     assemble_field,
 )
-from .fields import _total_theta, dipolar_series, face_rows
 
 __all__ = [
     "EmptyNullSpace",
     "third_member_ratio",
+    "FaceRows",
+    "face_rows",
     "basis_fields",
-    "apply_bc_operators",
     "bc_matrix",
     "bc_det",
     "null_space",
@@ -75,8 +77,9 @@ __all__ = [
 
 _POLE_TOL = 1e-6
 NULL_TOL = 1e-6
-_BC_MATERIAL_MU = 1.0
-_BC_MATERIAL_C = 1.0
+# per plane symmetry class: the trig kinds of (u_r, u_theta), u_theta's sign
+_PLANE_KINDS = {Mode.PLANE_SYM: ("cos", "sin", -1.0),
+                Mode.PLANE_ANTI: ("sin", "cos", 1.0)}
 
 
 class EmptyNullSpace(Exception):
@@ -89,7 +92,21 @@ def third_member_ratio(p: float, nu: float) -> float:
     Has a simple pole at p = 7 - 8 nu; callers near the pole should use the
     rescaled member produced by basis_fields instead.
     """
-    return (p + 5.0 - 8.0 * nu) / (p - 7.0 + 8.0 * nu)
+    return (p + 5.0 - 8.0 * nu) / _pole_factor(p, nu)[0]
+
+
+def _pole_factor(p, nu) -> tuple:
+    """(p - 7 + 8 nu, near): the third plane member's pole factor at p (a
+    float or an array), and whether p is within _POLE_TOL of its zero."""
+    pole = p - 7.0 + 8.0 * nu
+    return pole, abs(pole) < _POLE_TOL
+
+
+def _member_freqs(mode: Mode, p) -> tuple:
+    """Angular frequencies of the standard members (p a float or an array)."""
+    if mode is Mode.ANTIPLANE_ODD:
+        return p, p - 2.0
+    return p - 1.0, p + 1.0, p - 3.0, p - 1.0
 
 
 def _member_terms(mode: Mode, p: float, nu: float | None) -> tuple:
@@ -101,27 +118,95 @@ def _member_terms(mode: Mode, p: float, nu: float | None) -> tuple:
     transcription of the basis: every basis field is built from it (by
     model.assemble_field). Plane modes require nu.
     """
+    f = _member_freqs(mode, p)
     if mode is Mode.ANTIPLANE_ODD:
-        return ((((1.0, p, p, "sin"),),),
-                (((1.0, p, p - 2.0, "sin"),),))
+        return tuple((((1.0, p, freq, "sin"),),) for freq in f)
     if nu is None:
         raise ValueError("plane-mode basis members require nu")
-    pole = p - 7.0 + 8.0 * nu
-    if abs(pole) < _POLE_TOL:
+    pole, near = _pole_factor(p, nu)
+    if near:
         c_r3, c_t3 = pole, p + 5.0 - 8.0 * nu
     else:
         c_r3, c_t3 = 1.0, third_member_ratio(p, nu)
-    # the anti-symmetric class swaps the trig kinds and the u_theta sign
-    if mode is Mode.PLANE_SYM:
-        r_kind, t_kind, sign = "cos", "sin", -1.0
-    else:
-        r_kind, t_kind, sign = "sin", "cos", 1.0
+    r_kind, t_kind, sign = _PLANE_KINDS[mode]
     return (
-        (((1.0, p, p - 1.0, r_kind),), ()),
-        (((1.0, p, p + 1.0, r_kind),), ((sign, p, p + 1.0, t_kind),)),
-        (((c_r3, p, p - 3.0, r_kind),), ((sign * c_t3, p, p - 3.0, t_kind),)),
-        ((), ((1.0, p, p - 1.0, t_kind),)),
+        (((1.0, p, f[0], r_kind),), ()),
+        (((1.0, p, f[1], r_kind),), ((sign, p, f[1], t_kind),)),
+        (((c_r3, p, f[2], r_kind),), ((sign * c_t3, p, f[2], t_kind),)),
+        ((), ((1.0, p, f[3], t_kind),)),
     )
+
+
+class FaceRows(NamedTuple):
+    """Face operators of the standard degree-p basis members, closed form.
+
+    Operator keys[i] of member j is the single term
+    coef[k, i, j] * r**(p[k] + r_shift[i]) * kinds[i](freq[k, j] * theta)
+    at exponent p[k], with unit mu and c (every face operator is
+    proportional to mu * c). The plane third member enters multiplied
+    through by its pole factor p - 7 + 8 nu, which keeps every
+    coefficient finite.
+    """
+
+    keys: tuple
+    kinds: tuple
+    r_shift: tuple
+    coef: np.ndarray
+    freq: np.ndarray
+
+
+def face_rows(mode: Mode, p, nu: float | None) -> FaceRows:
+    """Closed-form face operators of the standard basis members at every
+    exponent of the 1-D array p: the plane rows (t_tr, t_tt, m_ttr, m_ttt)
+    and the anti-plane rows (t_tz, m_ttz), one column per member.
+
+    This is the one transcription of the face conditions; bc_matrix reads
+    it. Plain arithmetic only, so p and nu may also be mpmath numbers (p an
+    object array) for a high-precision reference.
+    """
+    p = np.asarray(p)
+    f1 = p - 1.0
+    if mode is Mode.ANTIPLANE_ODD:
+        # (key, prefactor, member coefficients, kind, r shift)
+        table = (("t_tz", -f1 * (p - 2.0), (p, p + 2.0), "cos", -3.0),
+                 ("m_ttz", -f1, (p, p - 4.0), "sin", -2.0))
+    else:
+        if nu is None:
+            raise ValueError("plane-mode face conditions require nu")
+        w12 = 1.0 - 2.0 * nu
+        e1 = (1.0 + p) * (1.0 - nu) / w12
+        e4 = (nu - 1.0 + p * nu) / w12
+        g1 = (3.0 * nu - 2.0 - p * nu) / w12
+        g3 = p * p - 3.0 * p + 8.0 * nu - 8.0
+        g4 = (2.0 - p - 3.0 * nu + p * nu) / w12
+        t3 = 2.0 * (p * p + p - 8.0 * nu + 8.0)
+        m3 = 2.0 * (p * p - 7.0 * p - 8.0 * nu + 16.0)
+        r_kind, t_kind, _ = _PLANE_KINDS[mode]
+        # (key, prefactor, (sym, anti) member coefficients, kind, r shift);
+        # t_tr and m_ttt take u_theta's trig kind, t_tt and m_ttr u_r's
+        rows = (
+            ("t_tr", 2.0 * f1 * (p - 2.0),
+             ((e1, -e1), (p, -p), (g3, -g3), (e4, e4)), t_kind, -3.0),
+            ("t_tt", f1 * (p - 2.0),
+             ((p + 1.0, p + 1.0), (2.0 * p, 2.0 * p), (t3, t3),
+              (-(p + 1.0), p + 1.0)), r_kind, -3.0),
+            ("m_ttr", -f1,
+             ((p - 3.0, p - 3.0), (2.0 * p, 2.0 * p), (m3, m3),
+              (-(p - 3.0), p - 3.0)), r_kind, -2.0),
+            ("m_ttt", 2.0 * f1,
+             ((g1, -g1), (p, -p), (g3, -g3), (g4, g4)), t_kind, -2.0),
+        )
+        sym = mode is Mode.PLANE_SYM
+        table = tuple(
+            (key, pref, tuple(cs if sym else ca for cs, ca in coefs), kind,
+             shift)
+            for key, pref, coefs, kind, shift in rows)
+    coef = np.stack([np.stack([pref * c for c in coefs], axis=-1)
+                     for _, pref, coefs, _, _ in table], axis=-2)
+    return FaceRows(keys=tuple(row[0] for row in table),
+                    kinds=tuple(row[3] for row in table),
+                    r_shift=tuple(row[4] for row in table),
+                    coef=coef, freq=np.stack(_member_freqs(mode, p), axis=-1))
 
 
 # the constant-strain (p = 1) members of each class as a term table (one
@@ -177,24 +262,6 @@ def basis_fields(case: WedgeCase, p: float,
                  for member in members), kept
 
 
-def apply_bc_operators(field: DisplacementField, nu: float) -> tuple:
-    """Face-condition operators of a field, as series in (r, theta).
-
-    Plane modes: (r^3 t_tr, r^3 t_tt, m_ttr, m_ttt); anti-plane:
-    (r^3 t_tz, r^2 m_ttz). Evaluated with unit stiffness and unit gradient
-    coefficient: the face conditions are homogeneous, so material scaling
-    drops out and only nu enters. This runs the constitutive pipeline, an
-    independent route to the closed forms that bc_matrix assembles.
-    """
-    material = MaterialParams(nu=nu, mu=_BC_MATERIAL_MU, c=_BC_MATERIAL_C)
-    m = dipolar_series(field, material)
-    t = _total_theta(m)
-    if field.mode.is_plane:
-        return (t["t_tr"].times_r_power(3), t["t_tt"].times_r_power(3),
-                m["m_ttr"], m["m_ttt"])
-    return (t["t_tz"].times_r_power(3), m["m_ttz"].times_r_power(2))
-
-
 def bc_matrix(case: WedgeCase, p: np.ndarray, nu: float | None):
     """Face-condition matrices and column scales of every basis member
     (degenerate ones kept) at each exponent of the 1-D array p.
@@ -208,10 +275,9 @@ def bc_matrix(case: WedgeCase, p: np.ndarray, nu: float | None):
     rows = face_rows(case.mode, p, nu)
     coef = rows.coef
     if case.mode.is_plane:
-        # the third member is rescaled by its pole factor only near the
+        # the third member is divided by its pole factor except near the
         # pole, exactly as the member term table writes it
-        pole = p - 7.0 + 8.0 * nu
-        near = np.abs(pole) < _POLE_TOL
+        pole, near = _pole_factor(p, nu)
         coef[:, :, 2] /= np.where(near, 1.0, pole)[:, np.newaxis]
     freq = rows.freq[:, np.newaxis, :]
     is_sin = np.array([kind == "sin" for kind in rows.kinds])[:, np.newaxis]

@@ -458,8 +458,7 @@ def _equilibrium_field(args, case: WedgeCase, material: MaterialParams):
 
 def cmd_equilibrium(args) -> int:
     if args.mode in ("III", "III-na"):
-        print(f"error: {_ANTIPLANE_EQUILIBRIUM_MSG}", file=sys.stderr)
-        return 1
+        raise UsageError(_ANTIPLANE_EQUILIBRIUM_MSG)
     case, _, material = _case(args, _EQUILIBRIUM_MODES[args.mode])
     if not 0.0 < args.r0 < math.inf:
         raise UsageError(f"--r0 must be positive and finite, "

@@ -19,22 +19,18 @@ for homogeneous eigenfields.
 The module also carries a literal closed-form transcription of the
 crack-tip fields (crack_reference_fields), written directly from the
 closed forms, independent of the pipeline, so it serves as an oracle for
-it. The face operators of the general-exponent fields live in one table,
-face_rows, vectorized over p: the face-condition matrix in basis is
-assembled from it, and the pipeline is in turn that matrix's oracle.
+it. apply_bc_operators runs the pipeline up to a field's face operators,
+the independent route that checks the closed-form face conditions of
+basis; the module imports neither basis nor numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import numpy as np
 
 from .model import (
     DisplacementField,
     MaterialParams,
-    Mode,
     PolarPoint,
     PolarSeries,
 )
@@ -44,13 +40,12 @@ __all__ = [
     "monopolar_series",
     "dipolar_series",
     "total_theta_series",
+    "apply_bc_operators",
     "total_r_series",
     "energy_density_series",
     "field_series_map",
     "crack_reference_fields",
     "crack_mode_std_amplitudes",
-    "FaceRows",
-    "face_rows",
 ]
 
 
@@ -170,6 +165,24 @@ def dipolar_series(field: DisplacementField, material: MaterialParams) -> dict:
 def total_theta_series(field: DisplacementField, material: MaterialParams) -> dict:
     """Leading total tractions on theta = const faces."""
     return _total_theta(dipolar_series(field, material))
+
+
+def apply_bc_operators(field: DisplacementField, nu: float) -> tuple:
+    """Face-condition operators of a field, as series in (r, theta).
+
+    Plane modes: (r^3 t_tr, r^3 t_tt, m_ttr, m_ttt); anti-plane:
+    (r^3 t_tz, r^2 m_ttz). Evaluated with unit stiffness and unit gradient
+    coefficient: the face conditions are homogeneous, so material scaling
+    drops out and only nu enters. This runs the constitutive pipeline, an
+    independent route to the closed forms that basis.bc_matrix assembles.
+    """
+    material = MaterialParams(nu=nu, mu=1.0, c=1.0)
+    m = dipolar_series(field, material)
+    t = _total_theta(m)
+    if field.mode.is_plane:
+        return (t["t_tr"].times_r_power(3), t["t_tt"].times_r_power(3),
+                m["m_ttr"], m["m_ttt"])
+    return (t["t_tz"].times_r_power(3), m["m_ttz"].times_r_power(2))
 
 
 def total_r_series(field: DisplacementField, material: MaterialParams) -> dict:
@@ -424,82 +437,3 @@ def crack_mode_std_amplitudes(mode_label: str, amps, nu: float) -> tuple:
         (d_amp,) = (float(x) for x in amps)
         return (5.0 * d_amp / 3.0, d_amp)
     raise ValueError(f"unknown crack mode {mode_label!r}")
-
-
-# ----------------------------------------------------------------------
-# face operators of the general-exponent fields (closed form)
-# ----------------------------------------------------------------------
-
-class FaceRows(NamedTuple):
-    """Face operators of the standard degree-p basis members, closed form.
-
-    Operator keys[i] of member j is the single term
-    coef[k, i, j] * r**(p[k] + r_shift[i]) * kinds[i](freq[k, j] * theta)
-    at exponent p[k], with unit mu and c (every face operator is
-    proportional to mu * c). The plane third member enters multiplied
-    through by its pole factor p - 7 + 8 nu, which keeps every
-    coefficient finite.
-    """
-
-    keys: tuple
-    kinds: tuple
-    r_shift: tuple
-    coef: np.ndarray
-    freq: np.ndarray
-
-
-def face_rows(mode: Mode, p, nu: float | None) -> FaceRows:
-    """Closed-form face operators of the standard basis members at every
-    exponent of the 1-D array p: the plane rows (t_tr, t_tt, m_ttr, m_ttt)
-    and the anti-plane rows (t_tz, m_ttz), one column per member.
-
-    This is the one transcription of the face conditions: the
-    face-condition matrix reads it.
-    Plain arithmetic only, so p and nu may also be mpmath numbers (p an
-    object array) for a high-precision reference.
-    """
-    p = np.asarray(p)
-    f1 = p - 1.0
-    if mode is Mode.ANTIPLANE_ODD:
-        # (key, prefactor, member coefficients, kind, r shift)
-        table = (("t_tz", -f1 * (p - 2.0), (p, p + 2.0), "cos", -3.0),
-                 ("m_ttz", -f1, (p, p - 4.0), "sin", -2.0))
-        freq = (p, p - 2.0)
-    else:
-        if nu is None:
-            raise ValueError("plane-mode face conditions require nu")
-        w12 = 1.0 - 2.0 * nu
-        e1 = (1.0 + p) * (1.0 - nu) / w12
-        e4 = (nu - 1.0 + p * nu) / w12
-        g1 = (3.0 * nu - 2.0 - p * nu) / w12
-        g3 = p * p - 3.0 * p + 8.0 * nu - 8.0
-        g4 = (2.0 - p - 3.0 * nu + p * nu) / w12
-        t3 = 2.0 * (p * p + p - 8.0 * nu + 8.0)
-        m3 = 2.0 * (p * p - 7.0 * p - 8.0 * nu + 16.0)
-        # (key, prefactor, (sym, anti) member coefficients, sym kind,
-        # r shift); the anti-symmetric class takes the other trig kind
-        rows = (
-            ("t_tr", 2.0 * f1 * (p - 2.0),
-             ((e1, -e1), (p, -p), (g3, -g3), (e4, e4)), "sin", -3.0),
-            ("t_tt", f1 * (p - 2.0),
-             ((p + 1.0, p + 1.0), (2.0 * p, 2.0 * p), (t3, t3),
-              (-(p + 1.0), p + 1.0)), "cos", -3.0),
-            ("m_ttr", -f1,
-             ((p - 3.0, p - 3.0), (2.0 * p, 2.0 * p), (m3, m3),
-              (-(p - 3.0), p - 3.0)), "cos", -2.0),
-            ("m_ttt", 2.0 * f1,
-             ((g1, -g1), (p, -p), (g3, -g3), (g4, g4)), "sin", -2.0),
-        )
-        sym = mode is Mode.PLANE_SYM
-        flip = {"cos": "sin", "sin": "cos"}
-        table = tuple(
-            (key, pref, tuple(cs if sym else ca for cs, ca in coefs),
-             kind if sym else flip[kind], shift)
-            for key, pref, coefs, kind, shift in rows)
-        freq = (f1, p + 1.0, p - 3.0, f1)
-    coef = np.stack([np.stack([pref * c for c in coefs], axis=-1)
-                     for _, pref, coefs, _, _ in table], axis=-2)
-    return FaceRows(keys=tuple(row[0] for row in table),
-                    kinds=tuple(row[3] for row in table),
-                    r_shift=tuple(row[4] for row in table),
-                    coef=coef, freq=np.stack(freq, axis=-1))

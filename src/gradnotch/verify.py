@@ -124,7 +124,7 @@ def bc_residual(sol: EigenSolution, radii=(0.5, 1.0, 2.0)) -> float:
     nu = sol.material.nu
     worst = 0.0
     for field in sol.fields:
-        ops = _basis.apply_bc_operators(field, nu)
+        ops = _fields.apply_bc_operators(field, nu)
         common = max(op.max_abs_coef() for op in ops)
         # normalize each operator by the largest magnitude among the
         # operators of the same homogeneity degree (its condition class:
@@ -191,7 +191,7 @@ def det_vs_charfn(case: WedgeCase, nu: float | None = None) -> DetCharReport:
 
     def window_max(ps) -> np.ndarray:
         """max |det| over the grid within 0.15 of each p (0 if none), in
-        blocks of 64 p so that no (p, grid) array outgrows a block."""
+        blocks of at most 16 p, so no (p, grid) array outgrows a block."""
         return np.concatenate([
             np.where(np.abs(block[:, None] - grid) <= 0.15, abs_det,
                      0.0).max(axis=1)
@@ -312,7 +312,7 @@ def _dual_construction_worst(mode: Mode, rng: random.Random,
         _basis.solution_from_amplitudes(case, material, 1.5, [std]), p1)
     combined = sol.combined_field(0)
     series = _fields.field_series_map(combined, material)
-    ref_amps = (p1 + amps) if label != "I" else (p1[0], p1[1]) + amps
+    ref_amps = p1 + amps
     worst = 0.0
     for _ in range(8):
         r = rng.uniform(0.2, 2.0)

@@ -4,7 +4,7 @@ Everything in this module is written directly from closed-form expressions
 and elementary numerics, so that test comparisons are made against a
 genuinely independent code path. Only the general-exponent closed forms
 and the per-root eigenfield route import the package: the closed forms
-build its PolarSeries and read its face-operator table (fields.face_rows),
+build its PolarSeries and read its face-operator table (basis.face_rows),
 since what they check is the constitutive pipeline, not those. The
 oracles are:
 
@@ -47,7 +47,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from gradnotch import basis
-from gradnotch.fields import face_rows
+from gradnotch.basis import face_rows
 from gradnotch.model import (KEY_TOL, PRUNE_REL, DisplacementField, Mode,
                              PolarSeries, Term, assemble_field)
 

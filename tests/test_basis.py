@@ -11,13 +11,13 @@ import pytest
 
 import oracles
 from gradnotch import basis, model
-from gradnotch.basis import (EmptyNullSpace, apply_bc_operators,
-                             basis_fields, bc_det, bc_matrix, eigenfield,
-                             null_space, singular_ratio,
-                             solution_from_amplitudes, special_p1_field,
-                             special_p1_solution, third_member_ratio)
+from gradnotch.basis import (EmptyNullSpace, basis_fields, bc_det,
+                             bc_matrix, eigenfield, face_rows, null_space,
+                             singular_ratio, solution_from_amplitudes,
+                             special_p1_field, special_p1_solution,
+                             third_member_ratio)
 from gradnotch.eigensolver import RootScanOptions, find_roots
-from gradnotch.fields import face_rows
+from gradnotch.fields import apply_bc_operators
 from gradnotch.model import MaterialParams, Mode, WedgeCase
 
 MAT = MaterialParams(nu=0.3)

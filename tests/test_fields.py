@@ -12,12 +12,12 @@ import pytest
 
 import oracles
 from gradnotch import fields
-from gradnotch.basis import (apply_bc_operators, attach_p1, eigenfield,
-                             solution_from_amplitudes, special_p1_field)
+from gradnotch.basis import (attach_p1, eigenfield, solution_from_amplitudes,
+                             special_p1_field)
 from gradnotch.eigensolver import admissible_eigenvalues
 from gradnotch.equilibrium import check_equilibrium, resultant_on_arc
 from gradnotch.fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
-                              crack_mode_std_amplitudes,
+                              apply_bc_operators, crack_mode_std_amplitudes,
                               crack_reference_fields, dipolar_series,
                               energy_density_series, field_series_map,
                               monopolar_series, strain_series, total_r_series,

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import gradnotch
@@ -100,6 +103,44 @@ def test_every_exported_name_has_a_user():
               for path in sorted((ROOT / "perfbench").rglob("*.py"))]
     assert len(trees) >= 8 and len(texts) >= 4
     assert _unreferenced_exports(trees, texts) == []
+
+
+def _loaded_after(module: str, bare: bool = False) -> set:
+    """The gradnotch modules a fresh interpreter holds after importing
+    module; with bare, under an empty package, so that the package's
+    __init__ loads nothing and only module's own imports show."""
+    stub = ("import types; pkg = types.ModuleType('gradnotch'); "
+            f"pkg.__path__ = [{str(PACKAGE)!r}]; "
+            "sys.modules['gradnotch'] = pkg; ") if bare else ""
+    code = (f"import sys; {stub}import {module}; "
+            "print(*(name for name in sys.modules "
+            "if name.split('.')[0] == 'gradnotch'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    return set(out.stdout.split())
+
+
+def test_each_face_condition_route_loads_without_the_other():
+    # basis assembles the closed-form face conditions, and fields runs
+    # the series pipeline that checks them: neither loads the other, and
+    # the package's own names need no pipeline
+    basis = _loaded_after("gradnotch.basis", bare=True)
+    fields = _loaded_after("gradnotch.fields", bare=True)
+    assert "gradnotch.basis" in basis and "gradnotch.fields" not in basis
+    assert "gradnotch.fields" in fields and "gradnotch.basis" not in fields
+    assert "gradnotch.fields" not in _loaded_after("gradnotch")
+
+
+def test_fields_imports_no_numpy():
+    # the pipeline is series algebra on Python floats
+    tree = ast.parse((PACKAGE / "fields.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert imported and not any(name.split(".")[0] == "numpy"
+                                for name in imported)
 
 
 def _reads_of_args(tree: ast.Module, name: str) -> set:
