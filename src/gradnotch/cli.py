@@ -389,8 +389,7 @@ def cmd_field(args) -> int:
     try:
         sol = eigenfield(case, material, entry.p)
     except EmptyNullSpace as exc:
-        raise UsageError(f"no eigenfield at p = {entry.p:.12g}: "
-                         f"{exc}") from exc
+        raise UsageError(str(exc)) from exc
 
     field = _combined_field(sol, amps)
     if p1_field is not None:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -189,6 +190,16 @@ def _brent(f, a, b, fa, fb, tol):
         fb = f(b)
 
 
+def _outside_level() -> int:
+    """The stacklevel at which a warning issued by the caller of this
+    function names the first frame outside this module: the caller of
+    find_roots, smallest_exponents or admissible_eigenvalues."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 class _Scan:
     """The bracket of one case, its exact derivative and its root stream.
 
@@ -279,8 +290,8 @@ class _Scan:
                          _brent(f, x, hi, fx, fhi, tol)]
             else:
                 accepted = abs(fx) < _ACCEPT_REL * self.scale
-                # level 4: the caller of find_roots or smallest_exponents
-                warnings.warn(NoSignChange(x, fx, accepted), stacklevel=4)
+                warnings.warn(NoSignChange(x, fx, accepted),
+                              stacklevel=_outside_level())
                 found = [x] if accepted else []
         return [p for p in found if _P_MIN < p <= self.top]
 

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+# det_vs_charfn's bound on a root's ratio, and on 1 / an off-root ratio
+_DET_TOL = 1e-6
 _DET_P_LO, _DET_P_HI, _DET_N_GRID = 1.001, 4.0, 601  # det_vs_charfn's grid
 _ENERGY_R_HI = 1e-4  # energy_scaling's outer radius
 
@@ -160,7 +162,11 @@ class DetCharReport:
     roots: tuple
     max_root_ratio: float
     min_off_ratio: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return (self.max_root_ratio < _DET_TOL
+                and self.min_off_ratio > _DET_TOL)
 
 
 def det_vs_charfn(case: WedgeCase, nu: float | None = None) -> DetCharReport:
@@ -207,9 +213,8 @@ def det_vs_charfn(case: WedgeCase, nu: float | None = None) -> DetCharReport:
         abs_det[off] / np.maximum(window_max(grid[off]), _TINY),
         initial=math.inf))
 
-    passed = max_root_ratio < 1e-6 and min_off_ratio > 1e-6
     return DetCharReport(roots=tuple(roots), max_root_ratio=max_root_ratio,
-                         min_off_ratio=min_off_ratio, passed=passed)
+                         min_off_ratio=min_off_ratio)
 
 
 @dataclass(frozen=True)
@@ -271,6 +276,13 @@ class CheckResult:
     detail: str = ""
 
 
+def _row(name: str, value: float, tol: float, detail: str = "") -> CheckResult:
+    """The one way a suite builds a row: it passes iff value < tol, so its
+    verdict is the comparison of the two numbers it prints."""
+    return CheckResult(name=name, passed=bool(value < tol), value=value,
+                       tol=tol, detail=detail)
+
+
 @dataclass(frozen=True)
 class SuiteReport:
     suite: str
@@ -281,8 +293,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-
-SUITES = ("all", "crack", "halfspace", "sweep", "equilibrium")
 
 _MODES = (Mode.PLANE_SYM, Mode.PLANE_ANTI, Mode.ANTIPLANE_ODD)
 
@@ -326,49 +336,38 @@ def _dual_construction_worst(mode: Mode, rng: random.Random,
     return worst
 
 
-def _checks_crack(rng: random.Random) -> list:
-    checks = []
+def _checks_crack(rng: random.Random):
     material = MaterialParams(nu=0.3)
     a = math.pi
 
     for mode in _MODES:
         case = WedgeCase(half_angle_a=a, mode=mode)
         summary = smallest_exponents(case, nu=material.nu)
-        checks.append(CheckResult(
-            name=f"crack-smallest-exponent-{mode.value}",
-            passed=abs(summary.p - 1.5) < 1e-9,
-            value=abs(summary.p - 1.5), tol=1e-9,
-            detail=f"p = {summary.p!r}"))
+        yield _row(f"crack-smallest-exponent-{mode.value}",
+                   abs(summary.p - 1.5), 1e-9, f"p = {summary.p!r}")
 
         sol = _basis.eigenfield(case, material, summary.p)
-        res_bc = bc_residual(sol)
-        checks.append(CheckResult(
-            name=f"crack-face-residual-{mode.value}",
-            passed=res_bc < 1e-8, value=res_bc, tol=1e-8))
-        res_pde = max(pde_residual(f, material.nu).leading
-                      for f in sol.fields)
-        checks.append(CheckResult(
-            name=f"crack-leading-equations-{mode.value}",
-            passed=res_pde < 1e-12, value=res_pde, tol=1e-12))
-
-        worst = _dual_construction_worst(mode, rng, material)
-        checks.append(CheckResult(
-            name=f"crack-closed-form-match-{mode.value}",
-            passed=worst < 1e-10, value=worst, tol=1e-10))
+        yield _row(f"crack-face-residual-{mode.value}", bc_residual(sol), 1e-8)
+        yield _row(f"crack-leading-equations-{mode.value}",
+                   max(pde_residual(f, material.nu).leading
+                       for f in sol.fields), 1e-12)
+        yield _row(f"crack-closed-form-match-{mode.value}",
+                   _dual_construction_worst(mode, rng, material), 1e-10)
 
         report = det_vs_charfn(case, nu=material.nu)
-        checks.append(CheckResult(
-            name=f"crack-determinant-zeros-{mode.value}",
-            passed=report.passed, value=report.max_root_ratio, tol=1e-6))
+        yield _row(f"crack-determinant-zeros-{mode.value}",
+                   report.max_root_ratio, _DET_TOL)
+        yield _row(f"crack-determinant-off-root-{mode.value}",
+                   1.0 / max(report.min_off_ratio, _TINY), 1.0 / _DET_TOL)
 
         if mode is not Mode.ANTIPLANE_ODD:
             energy = energy_scaling(sol)
-            err = abs(energy.exponent_estimate - (2 * summary.p - 2))
-            checks.append(CheckResult(
-                name=f"crack-energy-scaling-{mode.value}",
-                passed=err < 1e-6 and abs(
-                    energy.exponent_exact - (2 * summary.p - 2)) < 1e-12,
-                value=err, tol=1e-6))
+            yield _row(f"crack-energy-scaling-{mode.value}",
+                       abs(energy.exponent_estimate - (2 * summary.p - 2)),
+                       1e-6)
+            yield _row(f"crack-energy-exponent-{mode.value}",
+                       abs(energy.exponent_exact - (2 * summary.p - 2)),
+                       1e-12)
 
     # corner force of the opening mode against its closed form
     a1, a2 = rng.uniform(-2, 2), rng.uniform(-2, 2)
@@ -380,36 +379,26 @@ def _checks_crack(rng: random.Random) -> list:
             sol.fields[0], material, r0, a)
         ref = _crack_corner_force_radial(a1, a2, material.nu,
                                          material.mu, material.c, r0)
-        err = abs(corners.e_r_a - ref) / max(abs(ref), 1e-12)
-        checks.append(CheckResult(
-            name=f"crack-corner-force-r0={r0:g}",
-            passed=err < 1e-10, value=err, tol=1e-10))
-    return checks
+        yield _row(f"crack-corner-force-r0={r0:g}",
+                   abs(corners.e_r_a - ref) / max(abs(ref), 1e-12), 1e-10)
 
 
-def _checks_halfspace(rng: random.Random) -> list:
-    checks = []
+def _checks_halfspace(rng: random.Random):
     material = MaterialParams(nu=0.25)
     a = math.pi / 2.0
     for mode in _MODES:
         case = WedgeCase(half_angle_a=a, mode=mode)
         roots = find_roots(case, nu=material.nu)
-        checks.append(CheckResult(
-            name=f"halfspace-smallest-exponent-{mode.value}",
-            passed=bool(roots) and abs(roots[0] - 2.0) < 1e-9,
-            value=abs(roots[0] - 2.0) if roots else math.inf, tol=1e-9))
+        yield _row(f"halfspace-smallest-exponent-{mode.value}",
+                   abs(roots[0] - 2.0) if roots else math.inf, 1e-9)
         if mode.is_plane:
-            next_err = min((abs(r - 3.0) for r in roots[1:]),
-                           default=math.inf)
-            checks.append(CheckResult(
-                name=f"halfspace-next-exponent-{mode.value}",
-                passed=next_err < 1e-9, value=next_err, tol=1e-9))
+            yield _row(f"halfspace-next-exponent-{mode.value}",
+                       min((abs(r - 3.0) for r in roots[1:]),
+                           default=math.inf), 1e-9)
 
         sol = _basis.eigenfield(case, material, 2.0)
-        res_bc = bc_residual(sol)
-        checks.append(CheckResult(
-            name=f"halfspace-face-residual-{mode.value}",
-            passed=res_bc < 1e-8, value=res_bc, tol=1e-8))
+        yield _row(f"halfspace-face-residual-{mode.value}",
+                   bc_residual(sol), 1e-8)
 
         # at p = 2 the leading total traction vanishes identically
         worst = 0.0
@@ -419,14 +408,11 @@ def _checks_halfspace(rng: random.Random) -> list:
             m_scale = max(s.max_abs_coef() for s in m.values())
             for s in t.values():
                 worst = max(worst, s.max_abs_coef() / max(m_scale, _TINY))
-        checks.append(CheckResult(
-            name=f"halfspace-traction-free-interior-{mode.value}",
-            passed=worst < 1e-14, value=worst, tol=1e-14))
-    return checks
+        yield _row(f"halfspace-traction-free-interior-{mode.value}",
+                   worst, 1e-14)
 
 
-def _checks_sweep(rng: random.Random) -> list:
-    checks = []
+def _checks_sweep(rng: random.Random):
     nu = 0.3
     degrees = np.arange(90.0, 180.5, 1.0)
     for mode in _MODES:
@@ -435,21 +421,15 @@ def _checks_sweep(rng: random.Random) -> list:
             case = WedgeCase(half_angle_a=math.radians(float(deg)),
                              mode=mode)
             ps.append(smallest_exponents(case, nu=nu).p)
-        drops = [ps[i + 1] - ps[i] for i in range(len(ps) - 1)]
-        monotone = all(d < -1e-9 for d in drops)
-        end_err = max(abs(ps[0] - 2.0), abs(ps[-1] - 1.5))
-        checks.append(CheckResult(
-            name=f"sweep-monotone-{mode.value}",
-            passed=monotone, value=max(drops), tol=0.0,
-            detail="p decreasing from half-space to crack"))
-        checks.append(CheckResult(
-            name=f"sweep-endpoints-{mode.value}",
-            passed=end_err < 1e-6, value=end_err, tol=1e-6))
-    return checks
+        # every step must drop p by more than 1e-9
+        yield _row(f"sweep-monotone-{mode.value}",
+                   max(ps[i + 1] - ps[i] for i in range(len(ps) - 1)), -1e-9,
+                   "p decreasing from half-space to crack")
+        yield _row(f"sweep-endpoints-{mode.value}",
+                   max(abs(ps[0] - 2.0), abs(ps[-1] - 1.5)), 1e-6)
 
 
-def _checks_equilibrium(rng: random.Random) -> list:
-    checks = []
+def _checks_equilibrium(rng: random.Random):
     for mode in (Mode.PLANE_SYM, Mode.PLANE_ANTI):
         for _ in range(2):
             a = rng.uniform(math.pi / 2.0, math.pi)
@@ -461,17 +441,23 @@ def _checks_equilibrium(rng: random.Random) -> list:
             coeffs = [rng.uniform(-1, 1) for _ in sol.fields]
             field = sol.combined_field(coeffs)
             worst = 0.0
-            ok = True
             for r0 in (0.1, 1.0):
                 report = _equilibrium.check_equilibrium(
                     field, material, r0, a)
-                ok = ok and report.passed
                 worst = max(worst, max(report.residuals) / report.scale)
-            checks.append(CheckResult(
-                name=(f"equilibrium-{mode.value}"
-                      f"-a={math.degrees(a):.1f}deg-nu={nu:.3f}"),
-                passed=ok, value=worst, tol=_equilibrium.EQUILIBRIUM_TOL))
-    return checks
+            yield _row(f"equilibrium-{mode.value}"
+                       f"-a={math.degrees(a):.1f}deg-nu={nu:.3f}",
+                       worst, _equilibrium.EQUILIBRIUM_TOL)
+
+
+# the suites in the order `all` runs them
+_SUITE_ROWS = {
+    "crack": _checks_crack,
+    "halfspace": _checks_halfspace,
+    "sweep": _checks_sweep,
+    "equilibrium": _checks_equilibrium,
+}
+SUITES = ("all", *_SUITE_ROWS)
 
 
 def run_suite(suite: str = "all", seed: int = 0) -> SuiteReport:
@@ -480,12 +466,7 @@ def run_suite(suite: str = "all", seed: int = 0) -> SuiteReport:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     rng = random.Random(seed)
     checks = []
-    if suite in ("all", "crack"):
-        checks += _checks_crack(rng)
-    if suite in ("all", "halfspace"):
-        checks += _checks_halfspace(rng)
-    if suite in ("all", "sweep"):
-        checks += _checks_sweep(rng)
-    if suite in ("all", "equilibrium"):
-        checks += _checks_equilibrium(rng)
+    for name, rows in _SUITE_ROWS.items():
+        if suite in ("all", name):
+            checks += rows(rng)
     return SuiteReport(suite=suite, seed=seed, checks=tuple(checks))

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,11 +23,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from gradnotch import basis, cli
-from gradnotch.basis import attach_p1, eigenfield
+from gradnotch import basis, cli, verify
+from gradnotch.basis import EmptyNullSpace, attach_p1, eigenfield
 from gradnotch.cli import main
-from gradnotch.eigensolver import (NoSignChange, admissible_eigenvalues,
-                                  smallest_exponents)
+from gradnotch.eigensolver import (NoRootFound, NoSignChange,
+                                  admissible_eigenvalues, smallest_exponents)
+from gradnotch.equilibrium import QuadratureDisagreement
 from gradnotch.fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
                               field_series_map)
 from gradnotch.model import MaterialParams, Mode, PolarSeries, WedgeCase
@@ -958,6 +961,75 @@ def test_check_failure_exits_two(capsys, monkeypatch):
     assert doc["passed"] is False
 
 
+_CHECK_ROW = re.compile(r"\[(PASS|FAIL)\] (\S+): value = (\S+), "
+                        r"tol = (\S+?)(?:  \(.*\))?")
+
+
+def _check_rows(out):
+    """{name: (tag, value, tol)} of the text rows of a check report, and
+    its JSON document."""
+    *lines, _, doc = out.strip().split("\n")
+    rows = {}
+    for line in lines:
+        tag, name, value, tol = _CHECK_ROW.fullmatch(line).groups()
+        rows[name] = (tag, float(value), float(tol))
+    return rows, json.loads(doc)
+
+
+def _run_check(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoSignChange)
+        return run(capsys, ["check", *argv])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_check_row_passes_iff_its_value_is_below_its_tol(capsys, seed):
+    rc, out, _ = _run_check(capsys, ["--suite", "all", "--seed", str(seed)])
+    rows, doc = _check_rows(out)
+    assert len(rows) == len(doc["checks"]) == 45
+    for name, (tag, value, tol) in rows.items():
+        assert (tag == "PASS") == (value < tol), name
+    assert [c["passed"] for c in doc["checks"]] == [
+        tag == "PASS" for tag, _, _ in rows.values()]
+    assert doc["passed"] == all(c["passed"] for c in doc["checks"])
+    assert (rc, doc["passed"]) == (0, True)
+
+
+_real_det_vs_charfn = verify.det_vs_charfn
+_real_energy_scaling = verify.energy_scaling
+
+
+def _det_with_off_ratio(case, nu=None):
+    report = _real_det_vs_charfn(case, nu)
+    return dataclasses.replace(report, min_off_ratio=1e-7)
+
+
+def _energy_exponent_off(sol):
+    scaling = _real_energy_scaling(sol)
+    return dataclasses.replace(
+        scaling, exponent_exact=scaling.exponent_exact + 1e-9)
+
+
+@pytest.mark.parametrize("name,stub,failing", [
+    ("det_vs_charfn", _det_with_off_ratio,
+     {f"crack-determinant-off-root-{mode.value}" for mode in Mode}),
+    ("energy_scaling", _energy_exponent_off,
+     {"crack-energy-exponent-plane-sym",
+      "crack-energy-exponent-plane-anti"}),
+])
+def test_a_failing_check_row_prints_what_fails_it(capsys, monkeypatch,
+                                                  name, stub, failing):
+    # a wrong off-root ratio or exact energy exponent fails the row that
+    # prints it, with its printed value above its printed tol
+    monkeypatch.setattr(verify, name, stub)
+    rc, out, _ = _run_check(capsys, ["--suite", "crack"])
+    rows, doc = _check_rows(out)
+    assert (rc, doc["passed"]) == (2, False)
+    assert {row for row, (tag, _, _) in rows.items()
+            if tag == "FAIL"} == failing
+    assert all(rows[row][1] > rows[row][2] for row in failing)
+
+
 def test_check_unknown_suite_exits_one(capsys):
     rc, _, _ = run(capsys, ["check", "--suite", "bogus"])
     assert rc == 1
@@ -981,6 +1053,35 @@ def test_console_script_installed():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["roots"][1]["p"] == pytest.approx(1.5, abs=1e-9)
+
+
+_NOTCH = ["--angle-deg", "135", "--nu", "0.3", "--amps", "1"]
+
+
+@pytest.mark.parametrize("target,error,argv,rc,prefix", [
+    ("smallest_exponents", NoRootFound("no admissible bracket root"),
+     ["sweep", "--mode", "ap", "--from", "90", "--to", "91"], 2, ""),
+    ("smallest_exponents", NoRootFound("no admissible bracket root"),
+     ["equilibrium", "--mode", "notch-sym", *_NOTCH], 1, ""),
+    ("smallest_exponents", NoRootFound("no admissible bracket root"),
+     ["equilibrium", "--mode", "notch-anti", *_NOTCH], 1, ""),
+    ("check_equilibrium", QuadratureDisagreement("rules disagree"),
+     ["equilibrium", "--mode", "I", "--angle-deg", "180", "--nu", "0.3",
+      "--amps", "1,0"], 2, "arc quadrature failed to converge: "),
+    ("eigenfield", EmptyNullSpace("no eigenfield at p = 1.5 for mode "
+                                  "antiplane-odd"),
+     ["field", "--mode", "ap", "--angle-deg", "135", "--eig-index", "1",
+      "--amps", "1", "--r", "1", "--theta-steps", "3"], 1, ""),
+])
+def test_library_refusals_print_one_error_line(capsys, monkeypatch, target,
+                                               error, argv, rc, prefix):
+    # the library's refusal is printed once, as one error line with no
+    # traceback, and nothing goes to stdout
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, refuse)
+    assert run(capsys, argv) == (rc, "", f"error: {prefix}{error}\n")
 
 
 def test_module_entry_prints_each_warning_on_one_line(capsys):
@@ -1136,8 +1237,10 @@ def test_every_extreme_request_ends_cleanly(argv):
 
 # balanced fields that the equilibrium check reports as FAIL (exit 2): a
 # subnormal mu or amplitude carries too few bits for the balance to hold
-# to 1e-8, nu = 1/2 - 1e-12 loses the dilatation's digits to lambda, and
-# at r0 = 1e-300 the arc moment's r0 * r0 underflows to zero
+# to 1e-8, nu = 1/2 - 1e-12 loses the dilatation's digits to lambda (and
+# so do nu = 0.49999 and 0.4999995 at the crack: two requests of the
+# benchmark's verify workload), and at r0 = 1e-300 the arc moment's
+# r0 * r0 underflows to zero
 @pytest.mark.xfail(strict=True, reason="false FAIL at extreme inputs")
 @pytest.mark.parametrize("argv", [
     ["--mode", "I", "--angle-deg", "180", "--nu", "0.3",
@@ -1148,6 +1251,10 @@ def test_every_extreme_request_ends_cleanly(argv):
      "--amps", "1", "--r0", "0.3"],
     ["--mode", "notch-anti", "--angle-deg", "90", "--nu", "0.3",
      "--amps", "0,1", "--r0", "1e-300"],
+    ["--mode", "notch-sym", "--angle-deg", "180", "--nu",
+     "0.4999920484043908", "--amps=1.29128,0.585284", "--r0", "0.3097"],
+    ["--mode", "notch-sym", "--angle-deg", "180", "--nu",
+     "0.49999948174194225", "--amps=-1.65901,1.86245", "--r0", "2.5881"],
 ])
 def test_equilibrium_false_alarms(capsys, argv):
     with warnings.catch_warnings():

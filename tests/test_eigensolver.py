@@ -387,7 +387,8 @@ def test_merge_evaluates_the_bracket_only_for_clusters(monkeypatch):
     assert list(scan.roots()) == [2.0012, 2.0015]
 
 
-@pytest.mark.parametrize("scan", [find_roots, smallest_exponents])
+@pytest.mark.parametrize("scan", [find_roots, smallest_exponents,
+                                  admissible_eigenvalues])
 def test_warnings_are_credited_to_the_caller(scan):
     # every plane crack root is a touch root, each with its NoSignChange
     with warnings.catch_warnings(record=True) as caught:

@@ -112,7 +112,7 @@ GOLDEN = {
     "sweep --from 90 --to 180 --step 1 --mode ps-anti --nu 0.3":
         "c4105d59d40f3be75dd4ceb4f49a91f85821f163fea8eb565e1325aa60563630",
     "check --suite all --seed 0":
-        "e68cf21591f6d9547aac10ffeca8a30ca72848e121b94e5ee325c78e90234a5c",
+        "2797164080dbcbcc7deb02146786510cb3c185af112631c64bb161cda4376a7b",
     "field --mode ps-sym --angle-deg 135 --nu 0.3 --eig-index 1 --amps 1 "
     "--r 0.5,2 --theta-steps 9":
         "49f0618d6fbdb731c61faf2d9a0db2df1544384d32ed246dbf3da698d7af9671",

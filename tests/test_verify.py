@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
 import oracles
+from gradnotch import verify
 from gradnotch.basis import (basis_fields, eigenfield,
                              solution_from_amplitudes, special_p1_solution)
 from gradnotch.model import MaterialParams, Mode, WedgeCase
@@ -149,3 +152,38 @@ def test_suite_runs_are_deterministic():
 def test_suite_names_are_exported():
     assert set(SUITES) == {"all", "crack", "halfspace", "sweep",
                            "equilibrium"}
+
+
+# ----------------------------------------------------------------------
+# one verdict rule
+# ----------------------------------------------------------------------
+
+def _hand_written_verdicts(tree: ast.Module) -> list:
+    """Lines of the calls outside the row constructor `_row` that build a
+    CheckResult or pass a `passed=` keyword: each decides a verdict of its
+    own."""
+    row = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_row")
+    inside = {id(node) for node in ast.walk(row)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and ((isinstance(node.func, ast.Name)
+                        and node.func.id == "CheckResult")
+                       or any(k.arg == "passed" for k in node.keywords)))
+
+
+def test_guard_flags_a_hand_written_verdict():
+    tree = ast.parse(
+        "def _row(name, value, tol):\n"
+        "    return CheckResult(name, passed=value < tol, value=value,\n"
+        "                       tol=tol)\n"
+        "def suite():\n"
+        "    yield _row('a', 1.0, 2.0)\n"
+        "    yield CheckResult('b', True, 1.0, 2.0)\n"
+        "    yield Report(passed=True)\n")
+    assert _hand_written_verdicts(tree) == [6, 7]
+
+
+def test_every_check_row_is_built_by_the_one_constructor():
+    tree = ast.parse(Path(verify.__file__).read_text())
+    assert _hand_written_verdicts(tree) == []
