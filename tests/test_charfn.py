@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import hashlib
 import math
 
 import mpmath
@@ -134,11 +135,37 @@ def _scalar_points(nu):
                             7.0 - 8.0 * nu]])
 
 
+def test_bracket_bits_are_pinned():
+    # the sha256 of the bytes of the numpy real and complex-step values and
+    # of the scalar math and cmath values, over every mode, the interval
+    # ends and just inside them, nu across its range (None for the
+    # anti-plane class), and p on the scan grid plus p = 1, 2, the
+    # 135-degree touch roots and the pole p = 7 - 8 nu
+    h = 1e-30
+    grid = 1.0 + 1e-6 + 1e-3 * np.arange(3002)
+    digest = hashlib.sha256()
+    for mode in Mode:
+        for angle in (90.0, 90.0001, 135.0, 179.9999, 180.0):
+            case = WedgeCase(half_angle_a=math.radians(angle), mode=mode)
+            for nu in SCALAR_NU if mode.is_plane else (None,):
+                ps = np.concatenate([grid, _scalar_points(nu or 0.0)[61:]])
+                digest.update(char_bracket(ps, case, nu).tobytes())
+                digest.update(char_bracket(ps + 1j * h, case, nu).tobytes())
+                digest.update(np.array([char_bracket(p, case, nu, math)
+                                        for p in ps.tolist()]).tobytes())
+                digest.update(np.array([
+                    char_bracket(complex(p, h), case, nu, cmath)
+                    for p in ps.tolist()]).tobytes())
+    assert digest.hexdigest() == (
+        "212fef6373e7bafe5f7bbbb7f83f460e122f2feca7c9eac762b19aef1d4bd3b7")
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_scalar_path_matches_the_array_path(mode):
     # lib=math against the numpy grid to 4 ulps of max(1, |f|) (another
-    # libm may round a cosine differently, so no bits are pinned), and the
-    # lib=cmath complex step against numpy's and the 30-digit derivative
+    # libm may round a cosine differently, so the two paths are not held
+    # to the same bits), and the lib=cmath complex step against numpy's
+    # and the 30-digit derivative
     h = 1e-30
     bracket = oracles.BRACKETS[mode.value]
     for a in SCALAR_A:
