@@ -11,11 +11,15 @@ are its null vectors.
 The basis members are written down once, as a term table of
 (coef, r_exp, freq, kind) per member and displacement component
 (_member_terms; the p = 1 constant-strain members likewise), and their
-face operators once, in closed form (face_rows); the two share the
-member frequencies, each class's trig kinds and the third member's pole
-factor. A solution keeps its amplitudes and the table they run over;
-model.assemble_field builds a bracket root's fields from the two on
-first read, so eigenfield builds no series but the p = 1 entry's few.
+face operators once, in closed form (face_rows, one coefficient per
+row and member); the two share the member frequencies, each class's
+trig kinds, the class sign s (model.Mode.sign: +1 symmetric, -1
+anti-symmetric, the one thing besides the trig kinds that tells the two
+plane classes apart) and the third member's pole factor. Each refuses
+a plane nu outside (-1, 1/2) with model.OutOfRange. A solution keeps
+its amplitudes and the table they run over; model.assemble_field builds
+a bracket root's fields from the two on first read, so eigenfield
+builds no series but the p = 1 entry's few.
 The face-condition system has two stages, each over a whole array of
 exponents: bc_matrix assembles face_rows as one stack of matrices over
 every member, and null_space takes the null vectors of a stack of
@@ -56,6 +60,7 @@ from .model import (
     Mode,
     WedgeCase,
     assemble_field,
+    check_poisson_ratio,
 )
 
 __all__ = [
@@ -77,9 +82,9 @@ __all__ = [
 
 _POLE_TOL = 1e-6
 NULL_TOL = 1e-6
-# per plane symmetry class: the trig kinds of (u_r, u_theta), u_theta's sign
-_PLANE_KINDS = {Mode.PLANE_SYM: ("cos", "sin", -1.0),
-                Mode.PLANE_ANTI: ("sin", "cos", 1.0)}
+# per plane symmetry class: the trig kinds of (u_r, u_theta)
+_PLANE_KINDS = {Mode.PLANE_SYM: ("cos", "sin"),
+                Mode.PLANE_ANTI: ("sin", "cos")}
 
 
 class EmptyNullSpace(Exception):
@@ -116,19 +121,20 @@ def _member_terms(mode: Mode, p: float, nu: float | None) -> tuple:
     ((u_r, u_theta) for plane modes, (w,) for anti-plane), the terms
     (coef, r_exp, freq, kind) of that component. This is the one
     transcription of the basis: every basis field is built from it (by
-    model.assemble_field). Plane modes require nu.
+    model.assemble_field). A plane mode's nu outside (-1, 1/2), None
+    included, raises OutOfRange; u_theta's sign is minus the class sign.
     """
     f = _member_freqs(mode, p)
     if mode is Mode.ANTIPLANE_ODD:
         return tuple((((1.0, p, freq, "sin"),),) for freq in f)
-    if nu is None:
-        raise ValueError("plane-mode basis members require nu")
+    check_poisson_ratio(nu)
     pole, near = _pole_factor(p, nu)
     if near:
         c_r3, c_t3 = pole, p + 5.0 - 8.0 * nu
     else:
         c_r3, c_t3 = 1.0, third_member_ratio(p, nu)
-    r_kind, t_kind, sign = _PLANE_KINDS[mode]
+    r_kind, t_kind = _PLANE_KINDS[mode]
+    sign = -mode.sign
     return (
         (((1.0, p, f[0], r_kind),), ()),
         (((1.0, p, f[1], r_kind),), ((sign, p, f[1], t_kind),)),
@@ -161,18 +167,18 @@ def face_rows(mode: Mode, p, nu: float | None) -> FaceRows:
     and the anti-plane rows (t_tz, m_ttz), one column per member.
 
     This is the one transcription of the face conditions; bc_matrix reads
-    it. Plain arithmetic only, so p and nu may also be mpmath numbers (p an
-    object array) for a high-precision reference.
+    it. A plane mode's nu outside (-1, 1/2), None included, raises
+    OutOfRange. Plain arithmetic only, so p and nu may also be mpmath
+    numbers (p an object array) for a high-precision reference.
     """
     p = np.asarray(p)
     f1 = p - 1.0
+    # (key, prefactor, member coefficients, kind, r shift)
     if mode is Mode.ANTIPLANE_ODD:
-        # (key, prefactor, member coefficients, kind, r shift)
         table = (("t_tz", -f1 * (p - 2.0), (p, p + 2.0), "cos", -3.0),
                  ("m_ttz", -f1, (p, p - 4.0), "sin", -2.0))
     else:
-        if nu is None:
-            raise ValueError("plane-mode face conditions require nu")
+        check_poisson_ratio(nu)
         w12 = 1.0 - 2.0 * nu
         e1 = (1.0 + p) * (1.0 - nu) / w12
         e4 = (nu - 1.0 + p * nu) / w12
@@ -181,26 +187,19 @@ def face_rows(mode: Mode, p, nu: float | None) -> FaceRows:
         g4 = (2.0 - p - 3.0 * nu + p * nu) / w12
         t3 = 2.0 * (p * p + p - 8.0 * nu + 8.0)
         m3 = 2.0 * (p * p - 7.0 * p - 8.0 * nu + 16.0)
-        r_kind, t_kind, _ = _PLANE_KINDS[mode]
-        # (key, prefactor, (sym, anti) member coefficients, kind, r shift);
-        # t_tr and m_ttt take u_theta's trig kind, t_tt and m_ttr u_r's
-        rows = (
-            ("t_tr", 2.0 * f1 * (p - 2.0),
-             ((e1, -e1), (p, -p), (g3, -g3), (e4, e4)), t_kind, -3.0),
-            ("t_tt", f1 * (p - 2.0),
-             ((p + 1.0, p + 1.0), (2.0 * p, 2.0 * p), (t3, t3),
-              (-(p + 1.0), p + 1.0)), r_kind, -3.0),
-            ("m_ttr", -f1,
-             ((p - 3.0, p - 3.0), (2.0 * p, 2.0 * p), (m3, m3),
-              (-(p - 3.0), p - 3.0)), r_kind, -2.0),
-            ("m_ttt", 2.0 * f1,
-             ((g1, -g1), (p, -p), (g3, -g3), (g4, g4)), t_kind, -2.0),
+        r_kind, t_kind = _PLANE_KINDS[mode]
+        s = mode.sign
+        # t_tr and m_ttt take u_theta's trig kind, and the class sign s on
+        # members 0-2; t_tt and m_ttr take u_r's, and s on member 3
+        table = (
+            ("t_tr", 2.0 * f1 * (p - 2.0), (s * e1, s * p, s * g3, e4),
+             t_kind, -3.0),
+            ("t_tt", f1 * (p - 2.0), (p + 1.0, 2.0 * p, t3, -s * (p + 1.0)),
+             r_kind, -3.0),
+            ("m_ttr", -f1, (p - 3.0, 2.0 * p, m3, -s * (p - 3.0)), r_kind,
+             -2.0),
+            ("m_ttt", 2.0 * f1, (s * g1, s * p, s * g3, g4), t_kind, -2.0),
         )
-        sym = mode is Mode.PLANE_SYM
-        table = tuple(
-            (key, pref, tuple(cs if sym else ca for cs, ca in coefs), kind,
-             shift)
-            for key, pref, coefs, kind, shift in rows)
     coef = np.stack([np.stack([pref * c for c in coefs], axis=-1)
                      for _, pref, coefs, _, _ in table], axis=-2)
     return FaceRows(keys=tuple(row[0] for row in table),
@@ -255,7 +254,8 @@ def basis_fields(case: WedgeCase, p: float,
     Returns (fields, kept_indices). Degenerate members are dropped and
     kept_indices records the survivors: a member that is the zero field,
     and the plane third member where it coincides with a combination of
-    the others (p within KEY_TOL / 2 of 2 or of 1). Plane modes require nu.
+    the others (p within KEY_TOL / 2 of 2 or of 1). A plane mode's nu
+    outside (-1, 1/2), None included, raises OutOfRange.
     """
     kept, members = _kept_terms(case.mode, p, nu)
     return tuple(assemble_field(case.mode, (member,), (1.0,))

@@ -54,6 +54,14 @@ class Mode(Enum):
     def is_plane(self) -> bool:
         return self is not Mode.ANTIPLANE_ODD
 
+    @property
+    def sign(self) -> float:
+        """The plane class sign s: +1.0 symmetric, -1.0 anti-symmetric.
+        With the trig kinds of (u_r, u_theta) it is all that tells the two
+        plane classes apart in the bracket and the basis (read for the
+        plane classes only)."""
+        return 1.0 if self is Mode.PLANE_SYM else -1.0
+
 
 class OutOfRange(ValueError):
     """A parameter lies outside its admissible range."""

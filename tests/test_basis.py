@@ -16,6 +16,7 @@ from gradnotch.basis import (EmptyNullSpace, basis_fields, bc_det,
                              singular_ratio, solution_from_amplitudes,
                              special_p1_field, special_p1_solution,
                              third_member_ratio)
+from gradnotch.charfn import char_bracket
 from gradnotch.eigensolver import RootScanOptions, find_roots
 from gradnotch.fields import apply_bc_operators
 from gradnotch.model import MaterialParams, Mode, WedgeCase
@@ -227,6 +228,42 @@ def test_face_matrix_bits_are_pinned():
                 digest.update(scales.tobytes())
     assert digest.hexdigest() == (
         "16075102a84f88f1cdb40339ce06cc6a2f795746e5b76ffb6aa45b77ac4d33b4")
+
+
+def test_anti_face_rows_are_the_sym_rows_times_the_class_sign():
+    # the anti-symmetric class flips the sign of members 0-2 in the rows
+    # of u_theta's trig kind (t_tr, m_ttt) and of member 3 in those of
+    # u_r's (t_tt, m_ttr), bit for bit; frequencies and r shifts are shared
+    flip = np.array([[-1.0, -1.0, -1.0, 1.0], [1.0, 1.0, 1.0, -1.0],
+                     [1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, -1.0, 1.0]])
+    ps = np.concatenate([np.linspace(1.0, 4.5, 351), [1.0, 2.0, 3.0]])
+    for nu in (-0.9, -0.5, 0.0, 0.3, 0.4999):
+        sym = face_rows(Mode.PLANE_SYM, ps, nu)
+        anti = face_rows(Mode.PLANE_ANTI, ps, nu)
+        assert anti.keys == sym.keys == ("t_tr", "t_tt", "m_ttr", "m_ttt")
+        assert anti.coef.tobytes() == (sym.coef * flip).tobytes()
+        assert anti.freq.tobytes() == sym.freq.tobytes()
+        assert anti.r_shift == sym.r_shift
+
+
+@pytest.mark.parametrize("mode", [Mode.PLANE_SYM, Mode.PLANE_ANTI])
+@pytest.mark.parametrize("nu", [0.5, 0.7, -1.0, math.nan, None])
+def test_plane_routes_refuse_a_poisson_ratio_out_of_range(mode, nu):
+    # the bracket (both paths), the face rows and the basis members refuse
+    # a plane nu outside (-1, 1/2) as MaterialParams does
+    case = _case(2.4, mode)
+    for call in (lambda: char_bracket(1.7, case, nu),
+                 lambda: char_bracket(1.7, case, nu, math),
+                 lambda: face_rows(mode, np.array([1.7]), nu),
+                 lambda: bc_det(case, 1.7, nu),
+                 lambda: basis_fields(case, 1.7, nu)):
+        with pytest.raises(model.OutOfRange) as raised:
+            call()
+        assert raised.value.field_name == "nu"
+    # the anti-plane class takes no nu
+    ap = _case(2.4, Mode.ANTIPLANE_ODD)
+    assert type(char_bracket(1.7, ap, None, math)) is float
+    assert math.isfinite(bc_det(ap, 1.7, None))
 
 
 @pytest.mark.parametrize("mode", list(Mode))
