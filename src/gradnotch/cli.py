@@ -497,8 +497,8 @@ def cmd_equilibrium(args) -> int:
         "nu": args.nu,
         "r0": args.r0,
         "p": p,
-        "arc": vars(report.arc),
-        "corners": vars(corners),
+        "arc": report.arc._asdict(),
+        "corners": corners._asdict(),
         "sum_fx": report.sum_fx,
         "sum_fy": report.sum_fy,
         "sum_moment": report.sum_moment,
@@ -531,7 +531,7 @@ def cmd_check(args) -> int:
         "suite": report.suite,
         "seed": report.seed,
         "passed": report.passed,
-        "checks": [vars(check) for check in report.checks],
+        "checks": [dict(c._asdict(), passed=c.passed) for c in report.checks],
     }
     sys.stdout.write("\n".join(lines) + "\n" + _to_json(doc) + "\n")
     return 0 if report.passed else 2
@@ -634,27 +634,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # while a command runs, each warning prints as one "warning: <message>"
+    # line, without the source path and line of the default format
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 0 after --help and 1 on a usage error
-        return exc.code
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        message = str(exc)
-    except OutOfRange as exc:
-        message = _OUT_OF_RANGE[exc.field_name].format(**vars(args))
-    except OverflowError:
-        message = _OVERFLOW[args.command].format(**vars(args))
-    print(f"error: {message}", file=sys.stderr)
-    return 1
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits with 0 after --help and 1 on a usage error
+            return exc.code
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            message = str(exc)
+        except OutOfRange as exc:
+            message = _OUT_OF_RANGE[exc.field_name].format(**vars(args))
+        except OverflowError:
+            message = _OVERFLOW[args.command].format(**vars(args))
+        print(f"error: {message}", file=sys.stderr)
+        return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def entry() -> None:
-    """Console-script entry point: main() with each warning on one line."""
-    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    """Console-script entry point."""
     sys.exit(main())
 
 

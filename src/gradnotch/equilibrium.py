@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class QuadratureDisagreement(Exception):
     """Exact and quadrature arc resultants disagree beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class CornerForces:
+class CornerForces(NamedTuple):
     """Concentrated corner forces at the arc-face corners, in the local
     polar components of each corner and in Cartesian components."""
 
@@ -64,8 +63,7 @@ class CornerForces:
     e_y_b: float
 
 
-@dataclass(frozen=True)
-class ArcResultants:
+class ArcResultants(NamedTuple):
     """Force and moment resultants transmitted across the arc r = r0 by
     the leading total tractions (moment about the tip, with the couple
     carried by the normal double traction included)."""
@@ -75,17 +73,23 @@ class ArcResultants:
     t: float
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     arc: ArcResultants
     corners: CornerForces
     sum_fx: float
     sum_fy: float
     sum_moment: float
     scale: float
-    tol: float
     residuals: tuple
-    passed: bool
+
+    @property
+    def tol(self) -> float:
+        return EQUILIBRIUM_TOL
+
+    @property
+    def passed(self) -> bool:
+        return all(res <= EQUILIBRIUM_TOL * self.scale
+                   for res in self.residuals)
 
 
 def _require_plane(field: DisplacementField) -> None:
@@ -226,8 +230,8 @@ def check_equilibrium(field: DisplacementField, material: MaterialParams,
 
     Residuals are measured against the natural magnitude of the
     participating resultants; the moment residual carries a 1/r0 factor
-    so all three are commensurate. Each must lie within EQUILIBRIUM_TOL
-    of that scale.
+    so all three are commensurate. The report's `passed` reads whether
+    each lies within EQUILIBRIUM_TOL of that scale.
     """
     _require_plane(field)
     m = dipolar_series(field, material)
@@ -240,9 +244,7 @@ def check_equilibrium(field: DisplacementField, material: MaterialParams,
              + math.hypot(corners.e_r_a, corners.e_t_a)
              + math.hypot(corners.e_r_b, corners.e_t_b))
     scale = max(scale, 1e-300)
-    residuals = (abs(sum_fx), abs(sum_fy), abs(sum_moment) / r0)
-    passed = all(res <= EQUILIBRIUM_TOL * scale for res in residuals)
     return EquilibriumReport(
         arc=arc, corners=corners, sum_fx=sum_fx, sum_fy=sum_fy,
-        sum_moment=sum_moment, scale=scale, tol=EQUILIBRIUM_TOL,
-        residuals=residuals, passed=passed)
+        sum_moment=sum_moment, scale=scale,
+        residuals=(abs(sum_fx), abs(sum_fy), abs(sum_moment) / r0))

@@ -130,8 +130,7 @@ class WedgeCase:
             raise OutOfRange("mode", self.mode, "Mode")
 
 
-@dataclass(frozen=True)
-class PolarPoint:
+class PolarPoint(NamedTuple):
     """Field point in polar coordinates, r > 0."""
 
     r: float

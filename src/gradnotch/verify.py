@@ -5,13 +5,15 @@ independent route — substituting fields into the governing equations,
 evaluating face operators away from the assembly radius, comparing the
 face-system determinant against the closed-form characteristic function,
 or integrating the energy density — and reports quantified residuals.
+Each report is a NamedTuple of what was measured; a verdict is a property
+read from those values, never a stored field.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +56,7 @@ class DivergentEnergy(Exception):
     """The sector strain energy integral diverges at the tip."""
 
 
-@dataclass(frozen=True)
-class ResidualVector:
+class ResidualVector(NamedTuple):
     """Relative residuals of a field in the governing equations.
 
     `leading` is the residual in the leading (most singular) equations,
@@ -154,8 +155,7 @@ def bc_residual(sol: EigenSolution, radii=(0.5, 1.0, 2.0)) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class DetCharReport:
+class DetCharReport(NamedTuple):
     """Zero-set agreement between the face-system determinant and the
     closed-form characteristic function."""
 
@@ -213,8 +213,7 @@ def det_vs_charfn(case: WedgeCase, nu: float | None = None) -> DetCharReport:
                          min_off_ratio=min_off_ratio)
 
 
-@dataclass(frozen=True)
-class EnergyScaling:
+class EnergyScaling(NamedTuple):
     """Sector strain-energy scaling U(r) ~ r^exponent near the tip."""
 
     exponent_exact: float
@@ -263,24 +262,20 @@ def energy_scaling(sol: EigenSolution) -> EnergyScaling:
 # named check suites
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """A suite row; it passes iff value < tol, the two numbers it prints."""
+
     name: str
-    passed: bool
     value: float
     tol: float
     detail: str = ""
 
-
-def _row(name: str, value: float, tol: float, detail: str = "") -> CheckResult:
-    """The one way a suite builds a row: it passes iff value < tol, so its
-    verdict is the comparison of the two numbers it prints."""
-    return CheckResult(name=name, passed=bool(value < tol), value=value,
-                       tol=tol, detail=detail)
+    @property
+    def passed(self) -> bool:
+        return bool(self.value < self.tol)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     seed: int
     checks: tuple
@@ -336,31 +331,34 @@ def _checks_crack(rng: random.Random):
     for mode in Mode:
         case = WedgeCase(half_angle_a=a, mode=mode)
         summary = smallest_exponents(case, nu=material.nu)
-        yield _row(f"crack-smallest-exponent-{mode.value}",
-                   abs(summary.p - 1.5), 1e-9, f"p = {summary.p!r}")
+        yield CheckResult(f"crack-smallest-exponent-{mode.value}",
+                          abs(summary.p - 1.5), 1e-9, f"p = {summary.p!r}")
 
         sol = _basis.eigenfield(case, material, summary.p)
-        yield _row(f"crack-face-residual-{mode.value}", bc_residual(sol), 1e-8)
-        yield _row(f"crack-leading-equations-{mode.value}",
-                   max(pde_residual(f, material.nu).leading
-                       for f in sol.fields), 1e-12)
-        yield _row(f"crack-closed-form-match-{mode.value}",
-                   _dual_construction_worst(mode, rng, material), 1e-10)
+        yield CheckResult(f"crack-face-residual-{mode.value}",
+                          bc_residual(sol), 1e-8)
+        yield CheckResult(f"crack-leading-equations-{mode.value}",
+                          max(pde_residual(f, material.nu).leading
+                              for f in sol.fields), 1e-12)
+        yield CheckResult(f"crack-closed-form-match-{mode.value}",
+                          _dual_construction_worst(mode, rng, material),
+                          1e-10)
 
         report = det_vs_charfn(case, nu=material.nu)
-        yield _row(f"crack-determinant-zeros-{mode.value}",
-                   report.max_root_ratio, _DET_TOL)
-        yield _row(f"crack-determinant-off-root-{mode.value}",
-                   1.0 / max(report.min_off_ratio, _TINY), 1.0 / _DET_TOL)
+        yield CheckResult(f"crack-determinant-zeros-{mode.value}",
+                          report.max_root_ratio, _DET_TOL)
+        yield CheckResult(f"crack-determinant-off-root-{mode.value}",
+                          1.0 / max(report.min_off_ratio, _TINY),
+                          1.0 / _DET_TOL)
 
         if mode is not Mode.ANTIPLANE_ODD:
             energy = energy_scaling(sol)
-            yield _row(f"crack-energy-scaling-{mode.value}",
-                       abs(energy.exponent_estimate - (2 * summary.p - 2)),
-                       1e-6)
-            yield _row(f"crack-energy-exponent-{mode.value}",
-                       abs(energy.exponent_exact - (2 * summary.p - 2)),
-                       1e-12)
+            yield CheckResult(
+                f"crack-energy-scaling-{mode.value}",
+                abs(energy.exponent_estimate - (2 * summary.p - 2)), 1e-6)
+            yield CheckResult(
+                f"crack-energy-exponent-{mode.value}",
+                abs(energy.exponent_exact - (2 * summary.p - 2)), 1e-12)
 
     # corner force of the opening mode against its closed form
     a1, a2 = rng.uniform(-2, 2), rng.uniform(-2, 2)
@@ -372,8 +370,9 @@ def _checks_crack(rng: random.Random):
             sol.fields[0], material, r0, a)
         ref = _crack_corner_force_radial(a1, a2, material.nu,
                                          material.mu, material.c, r0)
-        yield _row(f"crack-corner-force-r0={r0:g}",
-                   abs(corners.e_r_a - ref) / max(abs(ref), 1e-12), 1e-10)
+        yield CheckResult(f"crack-corner-force-r0={r0:g}",
+                          abs(corners.e_r_a - ref) / max(abs(ref), 1e-12),
+                          1e-10)
 
 
 def _checks_halfspace(rng: random.Random):
@@ -382,16 +381,16 @@ def _checks_halfspace(rng: random.Random):
     for mode in Mode:
         case = WedgeCase(half_angle_a=a, mode=mode)
         roots = find_roots(case, nu=material.nu)
-        yield _row(f"halfspace-smallest-exponent-{mode.value}",
-                   abs(roots[0] - 2.0) if roots else math.inf, 1e-9)
+        yield CheckResult(f"halfspace-smallest-exponent-{mode.value}",
+                          abs(roots[0] - 2.0) if roots else math.inf, 1e-9)
         if mode.is_plane:
-            yield _row(f"halfspace-next-exponent-{mode.value}",
-                       min((abs(r - 3.0) for r in roots[1:]),
-                           default=math.inf), 1e-9)
+            yield CheckResult(f"halfspace-next-exponent-{mode.value}",
+                              min((abs(r - 3.0) for r in roots[1:]),
+                                  default=math.inf), 1e-9)
 
         sol = _basis.eigenfield(case, material, 2.0)
-        yield _row(f"halfspace-face-residual-{mode.value}",
-                   bc_residual(sol), 1e-8)
+        yield CheckResult(f"halfspace-face-residual-{mode.value}",
+                          bc_residual(sol), 1e-8)
 
         # at p = 2 the leading total traction vanishes identically
         worst = 0.0
@@ -401,8 +400,8 @@ def _checks_halfspace(rng: random.Random):
             m_scale = max(s.max_abs_coef() for s in m.values())
             for s in t.values():
                 worst = max(worst, s.max_abs_coef() / max(m_scale, _TINY))
-        yield _row(f"halfspace-traction-free-interior-{mode.value}",
-                   worst, 1e-14)
+        yield CheckResult(f"halfspace-traction-free-interior-{mode.value}",
+                          worst, 1e-14)
 
 
 def _checks_sweep(rng: random.Random):
@@ -415,11 +414,11 @@ def _checks_sweep(rng: random.Random):
                              mode=mode)
             ps.append(smallest_exponents(case, nu=nu).p)
         # every step must drop p by more than 1e-9
-        yield _row(f"sweep-monotone-{mode.value}",
-                   max(ps[i + 1] - ps[i] for i in range(len(ps) - 1)), -1e-9,
-                   "p decreasing from half-space to crack")
-        yield _row(f"sweep-endpoints-{mode.value}",
-                   max(abs(ps[0] - 2.0), abs(ps[-1] - 1.5)), 1e-6)
+        yield CheckResult(f"sweep-monotone-{mode.value}",
+                          max(ps[i + 1] - ps[i] for i in range(len(ps) - 1)),
+                          -1e-9, "p decreasing from half-space to crack")
+        yield CheckResult(f"sweep-endpoints-{mode.value}",
+                          max(abs(ps[0] - 2.0), abs(ps[-1] - 1.5)), 1e-6)
 
 
 def _checks_equilibrium(rng: random.Random):
@@ -438,9 +437,9 @@ def _checks_equilibrium(rng: random.Random):
                 report = _equilibrium.check_equilibrium(
                     field, material, r0, a)
                 worst = max(worst, max(report.residuals) / report.scale)
-            yield _row(f"equilibrium-{mode.value}"
-                       f"-a={math.degrees(a):.1f}deg-nu={nu:.3f}",
-                       worst, _equilibrium.EQUILIBRIUM_TOL)
+            yield CheckResult(f"equilibrium-{mode.value}"
+                              f"-a={math.degrees(a):.1f}deg-nu={nu:.3f}",
+                              worst, _equilibrium.EQUILIBRIUM_TOL)
 
 
 # the suites in the order `all` runs them

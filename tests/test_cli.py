@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -950,8 +949,7 @@ def test_check_crack_suite_deterministic(capsys):
 
 def test_check_failure_exits_two(capsys, monkeypatch):
     stub = SuiteReport(suite="crack", seed=0, checks=(
-        CheckResult(name="stub-check", passed=False, value=1.0, tol=0.5,
-                    detail="forced"),))
+        CheckResult(name="stub-check", value=1.0, tol=0.5, detail="forced"),))
     monkeypatch.setattr("gradnotch.cli.run_suite",
                         lambda suite, seed=0: stub)
     rc, out, _ = run(capsys, ["check", "--suite", "crack"])
@@ -1001,13 +999,12 @@ _real_energy_scaling = verify.energy_scaling
 
 def _det_with_off_ratio(case, nu=None):
     report = _real_det_vs_charfn(case, nu)
-    return dataclasses.replace(report, min_off_ratio=1e-7)
+    return report._replace(min_off_ratio=1e-7)
 
 
 def _energy_exponent_off(sol):
     scaling = _real_energy_scaling(sol)
-    return dataclasses.replace(
-        scaling, exponent_exact=scaling.exponent_exact + 1e-9)
+    return scaling._replace(exponent_exact=scaling.exponent_exact + 1e-9)
 
 
 @pytest.mark.parametrize("name,stub,failing", [
@@ -1085,9 +1082,9 @@ def test_library_refusals_print_one_error_line(capsys, monkeypatch, target,
 
 
 def test_module_entry_prints_each_warning_on_one_line(capsys):
-    # the entry point formats warnings as "warning: <message>", without
-    # the source path and line the default format adds; stdout is what
-    # main() writes
+    # main() formats warnings as "warning: <message>", without the source
+    # path and line the default format adds, and the entry point only
+    # calls it; stdout is what main() writes in-process
     argv = ["eig", "--mode", "ps-sym", "--angle-deg", "135", "--nu", "0.3"]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -1104,6 +1101,45 @@ def test_module_entry_prints_each_warning_on_one_line(capsys):
     with pytest.warns(NoSignChange):
         rc, out, _ = run(capsys, argv)
     assert rc == 0 and proc.stdout == out
+
+
+def test_main_prints_the_entry_points_warning_lines_and_restores_the_format():
+    # a library caller of main() gets the console script's stderr: each
+    # warning on one line, with no source path; main() leaves
+    # warnings.formatwarning as it found it
+    argv = ["eig", "--mode", "ps-sym", "--angle-deg", "135", "--nu", "0.3"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    caller = ("import sys, warnings\n"
+              "from gradnotch.cli import main\n"
+              "before = warnings.formatwarning\n"
+              "rc = main(sys.argv[1:])\n"
+              "assert warnings.formatwarning is before\n"
+              "sys.exit(rc)\n")
+    procs = [subprocess.run([sys.executable, *how, *argv],
+                            capture_output=True, text=True, timeout=120,
+                            env=env)
+             for how in (["-c", caller], ["-m", "gradnotch.cli"])]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert procs[0].stdout == procs[1].stdout
+    assert procs[0].stderr == procs[1].stderr
+    lines = procs[0].stderr.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert line.startswith(
+            "warning: even-multiplicity root accepted near p = ")
+        assert ".py:" not in line
+
+
+def test_main_restores_the_warning_format_after_a_refusal_or_a_raise(
+        monkeypatch):
+    before = warnings.formatwarning
+    assert main(["eig", "--mode", "ap", "--angle-deg", "200"]) == 1
+    assert warnings.formatwarning is before
+    monkeypatch.setattr(cli, "admissible_eigenvalues", _no_work)
+    with pytest.raises(AssertionError, match="the solver was called"):
+        main(["eig", "--mode", "ap", "--angle-deg", "135"])
+    assert warnings.formatwarning is before
 
 
 def test_check_prints_each_repeated_warning_once_per_caller():

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
-import ast
+import dataclasses
+import importlib
 import math
-from pathlib import Path
+import pkgutil
 
 import pytest
 
+import gradnotch
 import oracles
-from gradnotch import verify
 from gradnotch.basis import (basis_fields, eigenfield,
                              solution_from_amplitudes, special_p1_solution)
+from gradnotch.equilibrium import (EQUILIBRIUM_TOL, ArcResultants,
+                                   CornerForces, EquilibriumReport)
 from gradnotch.model import MaterialParams, Mode, WedgeCase
-from gradnotch.verify import (SUITES, DivergentEnergy, bc_residual,
+from gradnotch.verify import (SUITES, CheckResult, DetCharReport,
+                              DivergentEnergy, SuiteReport, bc_residual,
                               det_vs_charfn, energy_scaling, pde_residual,
                               run_suite)
 
@@ -155,35 +159,62 @@ def test_suite_names_are_exported():
 
 
 # ----------------------------------------------------------------------
-# one verdict rule
+# plain result records
 # ----------------------------------------------------------------------
 
-def _hand_written_verdicts(tree: ast.Module) -> list:
-    """Lines of the calls outside the row constructor `_row` that build a
-    CheckResult or pass a `passed=` keyword: each decides a verdict of its
-    own."""
-    row = next(node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name == "_row")
-    inside = {id(node) for node in ast.walk(row)}
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and id(node) not in inside
-                  and ((isinstance(node.func, ast.Name)
-                        and node.func.id == "CheckResult")
-                       or any(k.arg == "passed" for k in node.keywords)))
+@pytest.mark.parametrize("record", [CheckResult, SuiteReport, DetCharReport,
+                                    EquilibriumReport])
+def test_a_report_stores_no_verdict(record):
+    # each verdict is read from the values the record holds, so no record
+    # can carry one that contradicts them; a tol that is the same for
+    # every report is a constant, not a field (a check row's tol is its
+    # own)
+    assert "passed" not in record._fields
+    assert ("tol" in record._fields) == (record is CheckResult)
 
 
-def test_guard_flags_a_hand_written_verdict():
-    tree = ast.parse(
-        "def _row(name, value, tol):\n"
-        "    return CheckResult(name, passed=value < tol, value=value,\n"
-        "                       tol=tol)\n"
-        "def suite():\n"
-        "    yield _row('a', 1.0, 2.0)\n"
-        "    yield CheckResult('b', True, 1.0, 2.0)\n"
-        "    yield Report(passed=True)\n")
-    assert _hand_written_verdicts(tree) == [6, 7]
+def test_a_check_row_passes_iff_its_value_is_below_its_tol():
+    assert CheckResult("x", 1.0, 1.0).passed is False
+    assert CheckResult("x", math.nextafter(1.0, 0.0), 1.0).passed is True
+    assert CheckResult("x", math.nan, 1.0).passed is False
+    assert CheckResult("x", -math.inf, -1e-9).passed is True
+    rows = (CheckResult("a", 0.0, 1.0), CheckResult("b", 1.0, 1.0))
+    assert SuiteReport("s", 0, rows[:1]).passed is True
+    assert SuiteReport("s", 0, rows).passed is False
 
 
-def test_every_check_row_is_built_by_the_one_constructor():
-    tree = ast.parse(Path(verify.__file__).read_text())
-    assert _hand_written_verdicts(tree) == []
+def test_an_equilibrium_residual_at_its_bound_passes():
+    scale = 3.0
+    bound = EQUILIBRIUM_TOL * scale
+
+    def report(residual):
+        return EquilibriumReport(ArcResultants(0.0, 0.0, 0.0),
+                                 CornerForces(*[0.0] * 8), 0.0, 0.0, 0.0,
+                                 scale, (0.0, residual, 0.0))
+
+    assert report(bound).passed is True
+    assert report(math.nextafter(bound, math.inf)).passed is False
+    assert report(math.nan).passed is False
+    assert report(bound).tol == EQUILIBRIUM_TOL
+
+
+def test_only_records_that_use_a_dataclass_feature_are_dataclasses():
+    # validation in __post_init__ (MaterialParams, WedgeCase,
+    # RootScanOptions, PolarSeries), a cached_property and replace
+    # (EigenSolution), and __add__ (DisplacementField, which as a tuple
+    # would repeat under * and have a len); every other record is a
+    # NamedTuple
+    modules = [importlib.import_module(f"gradnotch.{info.name}")
+               for info in pkgutil.iter_modules(gradnotch.__path__)]
+    classes = {name: obj for module in modules
+               for name, obj in vars(module).items()
+               if isinstance(obj, type) and obj.__module__ == module.__name__}
+    assert sorted(name for name, obj in classes.items()
+                  if dataclasses.is_dataclass(obj)) == [
+        "DisplacementField", "EigenSolution", "MaterialParams",
+        "PolarSeries", "RootScanOptions", "WedgeCase"]
+    for name in ("PolarPoint", "AdmissibleRoot", "ExponentSummary",
+                 "CornerForces", "ArcResultants", "EquilibriumReport",
+                 "ResidualVector", "DetCharReport", "EnergyScaling",
+                 "CheckResult", "SuiteReport"):
+        assert issubclass(classes[name], tuple) and classes[name]._fields
