@@ -11,7 +11,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +192,66 @@ def test_stdout_matches_the_recorded_hash(argv):
     rc, out = _stdout(argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[" ".join(argv)]
+
+
+# the benchmark's sweep shapes (at 135 degrees the smallest ps-anti root,
+# 5/3, is a touch root), and the check suite, whose stdout is pinned above
+CONSOLE_REQUESTS = (
+    ("sweep", "--mode", "ps-sym", "--nu", "0.3", "--from", "90", "--to",
+     "100", "--step", "0.1"),
+    ("sweep", "--mode", "ps-anti", "--nu", "0.3", "--from", "170", "--to",
+     "180", "--step", "0.1"),
+    ("sweep", "--mode", "ps-anti", "--nu", "0.3", "--from", "130", "--to",
+     "140", "--step", "0.1"),
+    ("sweep", "--mode", "ap", "--from", "125", "--to", "135", "--step",
+     "0.1"),
+    ("check", "--suite", "all", "--seed", "0"),
+)
+
+# sha256 of the console script's stdout and stderr, and of every warning
+# the request emits in-process, in order, one "<message>\n" each
+CONSOLE_GOLDEN = {
+    "sweep --mode ps-sym --nu 0.3 --from 90 --to 100 --step 0.1": (
+        "9ffde74dc33f30c38e7b2f3697df4f563896c51e93af2fadd4edb73aaa85c447",
+        "3db345bc7d08ca267bf2c2226df51c3d618cd9d8a6d9702dc030b08f1f953ee1",
+        "32d47e0b1651a8ee0926d487c335e3ae79dec8647874959c2021ec5ad6a80a13"),
+    "sweep --mode ps-anti --nu 0.3 --from 170 --to 180 --step 0.1": (
+        "5c5e2968203d8d7be782c6d0fcd2a83a054c2710afa65d17b6444b728ab521f8",
+        "5e6de1c842405f41389ba449ee9c471366d57876afd1db14040c9de8db37a0c1",
+        "ec2aa686adef7958f431febb8b62d7d901b03feb49548d5ba45adfe1e72fb51f"),
+    "sweep --mode ps-anti --nu 0.3 --from 130 --to 140 --step 0.1": (
+        "4110dfb1905538d6028c268cac0dcdac1c548efdfbf3c5d228d9387be297af34",
+        "130aa2b00a50eff8b17c890e1afa501c6e4345581123f073f875c46629137272",
+        "c458b3b42ce883198956b5856830c56a6c4f09b28a49cb1e463d23571d14fd60"),
+    "sweep --mode ap --from 125 --to 135 --step 0.1": (
+        "d8f30115c9e40e518a9661f329d3d491780c5b6dc653776ca8f5c7be2854b92e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "check --suite all --seed 0": (
+        "2797164080dbcbcc7deb02146786510cb3c185af112631c64bb161cda4376a7b",
+        "c857348ab4c815a10a9e1737e6dd0b2be6ee7800db0b509356e308ef12616ef7",
+        "5d5a4665796c4c071894dbbe478404398fe49424acae5f485e716b10f8fae0d3"),
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", CONSOLE_REQUESTS, ids=" ".join)
+def test_console_output_and_warnings_match_the_recorded_hashes(argv):
+    # the console script prints each warning once per calling line (the
+    # default filter); in-process, every warning is recorded in order
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "gradnotch.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        main(list(argv))
+    every = "".join(f"{w.message}\n" for w in caught)
+    assert proc.returncode == 0
+    assert (_sha256(proc.stdout), _sha256(proc.stderr), _sha256(every)) \
+        == CONSOLE_GOLDEN[" ".join(argv)]
