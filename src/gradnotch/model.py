@@ -44,23 +44,22 @@ class Mode(Enum):
     PLANE_SYM      in-plane, symmetric about theta = 0
     PLANE_ANTI     in-plane, anti-symmetric about theta = 0
     ANTIPLANE_ODD  anti-plane shear, odd about theta = 0
+
+    Each member carries two plain attributes (a read costs a fraction of
+    a property's, and the scanner's scalar bracket reads both per point):
+    is_plane, False for ANTIPLANE_ODD only, and sign, the plane class
+    sign s, +1.0 symmetric and -1.0 otherwise. With the trig kinds of
+    (u_r, u_theta), s is all that tells the two plane classes apart in
+    the bracket and the basis (read for the plane classes only).
     """
 
     PLANE_SYM = "plane-sym"
     PLANE_ANTI = "plane-anti"
     ANTIPLANE_ODD = "antiplane-odd"
 
-    @property
-    def is_plane(self) -> bool:
-        return self is not Mode.ANTIPLANE_ODD
-
-    @property
-    def sign(self) -> float:
-        """The plane class sign s: +1.0 symmetric, -1.0 anti-symmetric.
-        With the trig kinds of (u_r, u_theta) it is all that tells the two
-        plane classes apart in the bracket and the basis (read for the
-        plane classes only)."""
-        return 1.0 if self is Mode.PLANE_SYM else -1.0
+    def __init__(self, value):
+        self.is_plane = value != "antiplane-odd"
+        self.sign = 1.0 if value == "plane-sym" else -1.0
 
 
 class OutOfRange(ValueError):

@@ -24,6 +24,16 @@ def test_mode_plane_flags():
     assert not Mode.ANTIPLANE_ODD.is_plane
 
 
+def test_mode_flags_are_plain_member_attributes():
+    # read per bracket point by the root scanner: stored on each member,
+    # not computed by a property on each read
+    assert [(m.is_plane, m.sign) for m in Mode] == [
+        (True, 1.0), (True, -1.0), (False, -1.0)]
+    for mode in Mode:
+        assert vars(mode)["is_plane"] is mode.is_plane
+        assert type(mode.sign) is float and vars(mode)["sign"] == mode.sign
+
+
 @pytest.mark.parametrize("nu", [0.5, 0.75, -1.0, -2.0])
 def test_validate_rejects_poisson_ratio(nu):
     with pytest.raises(OutOfRange) as info:
