@@ -12,7 +12,8 @@ where the class sign s (Mode.sign: +1 symmetric, -1 anti-symmetric) is
 all that tells the two plane classes apart, and the anti-plane one. Its
 function library is the parameter lib. The default, numpy, vectorizes
 over p and returns a Python scalar for scalar p; the root scanner
-evaluates its grid this way. With lib=math (real p) or lib=cmath
+evaluates its grid this way, for a block of cases at once by passing a
+case whose half_angle_a is a column of angles. With lib=math (real p) or lib=cmath
 (complex p) one point is evaluated through Python scalars, with no array
 round trip; the scanner's Brent steps take this path. Complex p gives
 the exact derivative by the complex step, f'(p) = Im f(p + ih) / h; real
@@ -31,6 +32,11 @@ __all__ = ["char_bracket"]
 def char_bracket(p, case: WedgeCase, nu=None, lib=np):
     """The bracket of the case's mode at p; a plane mode's nu outside
     (-1, 1/2), None included, raises OutOfRange.
+
+    With lib=np, case may be any record with a mode and a half_angle_a
+    array, which broadcasts against p: an (n, 1) column of half-angles
+    and a row of p give the n brackets of one mode in one call, each row
+    bit for bit its case's own.
 
     In-plane, at a = pi it reduces to 2 s (5-4nu)(1 - cos 4 pi p) and at
     a = pi/2 to 2 s (5-4nu)(1 - cos 2 pi p), so every root at those angles

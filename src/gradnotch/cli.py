@@ -53,7 +53,7 @@ from .basis import (EmptyNullSpace, eigenfield, solution_from_amplitudes,
                     special_p1_field)
 from .equilibrium import QuadratureDisagreement, check_equilibrium
 from .eigensolver import (NoRootFound, RootScanOptions, admissible_eigenvalues,
-                          smallest_exponents)
+                          smallest_exponents, sweep_exponents)
 from .fields import (ANTIPLANE_FIELD_KEYS, PLANE_FIELD_KEYS,
                      crack_mode_std_amplitudes, field_series_map)
 from .model import MaterialParams, Mode, OutOfRange, WedgeCase
@@ -321,7 +321,7 @@ def cmd_sweep(args) -> int:
     nu_text = "" if args.nu is None else _fmt(args.nu)
 
     try:
-        summaries = [smallest_exponents(case, nu) for case in cases]
+        summaries = sweep_exponents(cases, nu)
     except NoRootFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

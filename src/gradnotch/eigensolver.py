@@ -7,8 +7,8 @@ latter type, and near those limits touch roots split into pairs of simple
 roots closer together than any practical grid.
 
 The scanner samples the bracket f on a uniform grid and reads its roots
-from one ascending stream (_Scan.roots), which refines each of the two
-kinds of trigger on the grid when it reaches it:
+from one ascending stream per case (_Scan, fed by _run), which refines
+each of the two kinds of trigger on the grid when it reaches it:
 
 * a sign change of f across a grid cell (a grid value of exactly zero
   counts as a change on both sides) holds a simple root, refined by
@@ -23,19 +23,28 @@ kinds of trigger on the grid when it reaches it:
   root. Otherwise the dip holds no root. Accepted and rejected touches
   both emit a NoSignChange warning.
 
-Roots closer than 1e-9 are one root; the stream yields each cluster once
-the next trigger starts past it. find_roots drains the stream, and
-smallest_exponents takes its first root.
+Roots closer than 1e-9 are one root; the stream closes each cluster once
+the next trigger, or the start of the next part of the grid, lies past
+it. find_roots drains the stream. sweep_exponents takes the first root of
+each of many cases of one mode, and smallest_exponents is its call for
+one case.
 
 The derivative is exact to rounding: the brackets accept complex p, and
 f'(p) = Im f(p + ih) / h with h = 1e-30 (the complex-step method, Squire
 and Trapp 1998), which involves no difference of nearby values.
 
-The grid is evaluated through numpy in two ascending parts, one call
-each: the cells up to p = 2.025 (the smallest root lies in [1.5, 2] at
-every wedge angle), then the rest when the stream reaches them or a dip
-reads the grid scale, which evaluates the whole grid. find_roots
-evaluates the whole grid at once. Every point evaluation after the grid
+The grid is evaluated through numpy in ascending parts, one call per
+part for a whole block of cases (a column of half-angles against a row
+of grid points), and each part's triggers are found for the block in
+one pass. find_roots evaluates the whole grid at once. A smallest-root
+scan of one case reads two parts: the cells up to p = 2.025 (the
+smallest root lies in [1.5, 2] at every wedge angle), then the rest if
+its stream reaches them. Many cases are scanned 32 at a time, their
+grids in parts of 128 cells, and a case leaves its block as soon as its
+first root cluster closes, so a case whose root is near 1.5 never
+evaluates the cells up to 2.025. No work array grows with cases times
+grid. A dip reads the grid scale, which evaluates the rest of that one
+case's grid in one call. Every point evaluation after the grid
 (Brent's steps on f and f', the dip test, the merge) goes through the
 same bracket formula with lib=math, or lib=cmath for the complex step,
 which avoids a 0-d array round trip per point.
@@ -54,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .charfn import char_bracket
-from .model import WedgeCase, check_poisson_ratio
+from .model import Mode, WedgeCase, check_poisson_ratio
 
 __all__ = [
     "RootScanOptions",
@@ -65,6 +74,7 @@ __all__ = [
     "find_roots",
     "admissible_eigenvalues",
     "smallest_exponents",
+    "sweep_exponents",
 ]
 
 # the scan window opens just above p = 1 because every bracket vanishes at
@@ -72,9 +82,13 @@ __all__ = [
 # separately, not by scanning)
 _P_MIN = 1.0 + 1e-6
 _GRID_STEP = 1e-3
-# cells of the first part of a smallest-root scan (up to p = 2.025): the
-# smallest root lies in [1.5, 2] at every wedge angle
+# cells of the first part of a one-case smallest-root scan (up to
+# p = 2.025): the smallest root lies in [1.5, 2] at every wedge angle
 _FIRST_CELLS = 1024
+# a scan of several cases reads them in blocks of _BLOCK_ROWS, and their
+# grids in parts of _BLOCK_CELLS cells
+_BLOCK_ROWS = 32
+_BLOCK_CELLS = 128
 # refined roots closer than this are one root
 _CLUSTER_MERGE = 1e-9
 # dip candidate filter and touch acceptance threshold, relative to the
@@ -194,15 +208,32 @@ def _brent(f, a, b, fa, fb, tol):
 def _outside_level() -> int:
     """The stacklevel at which a warning issued by the caller of this
     function names the first frame outside this module: the caller of
-    find_roots, smallest_exponents or admissible_eigenvalues."""
+    find_roots, smallest_exponents, sweep_exponents or
+    admissible_eigenvalues."""
     frame, level = sys._getframe(1), 1
     while frame.f_back is not None and frame.f_globals is globals():
         frame, level = frame.f_back, level + 1
     return level
 
 
+def _emit(caught):
+    """Issue the buffered warnings of one scan, in order, credited to the
+    first caller outside this module."""
+    for warning in caught:
+        warnings.warn(warning, stacklevel=_outside_level())
+
+
+class _Rows(NamedTuple):
+    """Cases of one mode as char_bracket reads a case: a column of
+    half-angles, one row each, against a row of grid points."""
+
+    half_angle_a: np.ndarray
+    mode: Mode
+
+
 class _Scan:
-    """The bracket of one case, its exact derivative and its root stream.
+    """The bracket of one case, its exact derivative, its grid scale and
+    its root stream, which _run feeds with the triggers of its grid.
 
     The grid p_k = _P_MIN + _GRID_STEP * k is only sized here. Its values,
     and so the triggers and the scale, are the same however it is cut into
@@ -218,53 +249,34 @@ class _Scan:
         n = max(int(round((opts.p_max - _P_MIN) / _GRID_STEP)), 2)
         # two extra cells past p_max so endpoint roots are still bracketed
         self.points = n + 3
-        self.vals = np.empty(self.points)
-        self.done = 0
-
-    def _values(self, stop):
-        """f on grid points [0, stop), evaluating the missing ones
-        [done, stop) in one numpy call."""
-        if stop > self.done:
-            self.vals[self.done:stop] = char_bracket(
-                _grid(np.arange(self.done, stop)), self.case, self.nu)
-            self.done = stop
-        return self.vals[:stop]
+        # the points inside the scan window, p_k <= top, are the first
+        # `inside` of the grid
+        inside = min(n + 1, self.points)
+        while inside and _grid(inside - 1) > self.top:
+            inside -= 1
+        while inside < self.points and _grid(inside) <= self.top:
+            inside += 1
+        self.inside = inside
+        # the grid points evaluated so far and max|f| over those of them
+        # inside the window, as _run last set them before a dip
+        self.done, self.peak = 0, 0.0
+        self.found = []     # refined roots not yet in a closed cluster
+        self.roots = []     # the closed clusters' roots, ascending
+        self.warned = []    # NoSignChange warnings, in order, not yet issued
 
     @functools.cached_property
     def scale(self):
-        """max(1, max|f|) over the grid points inside the scan window."""
-        vals = self._values(self.points)
-        inside = _grid(np.arange(self.points)) <= self.top
-        return max(1.0, float(np.max(np.abs(vals[inside]))))
-
-    def triggers(self):
-        """(lo, hi, is_dip) of each trigger, ascending: a sign change of f
-        across [lo, hi] or a dip of |f| at its midpoint.
-
-        The cells are read in two parts, [0, _FIRST_CELLS) and the rest,
-        each evaluated when reached, or in one if the grid is evaluated.
-        A mark (p, None, None), which holds no root, comes before each
-        part with p its first cell's lower end, and last with p = inf.
-        """
-        cells = self.points - 1
-        first = cells if self.done == self.points else min(_FIRST_CELLS, cells)
-        start = 0
-        for stop in sorted({first, cells}):
-            yield _grid(start), None, None
-            vals = self._values(min(stop + 2, self.points))
-            sign, absv = np.sign(vals), np.abs(vals)
-            k = np.arange(start, stop)
-            crossings = k[sign[k] != sign[k + 1]]
-            k = k[k < cells - 1]
-            dips = k[(absv[k + 1] <= absv[k]) & (absv[k + 1] <= absv[k + 2])
-                     & (sign[k] == sign[k + 1]) & (sign[k + 1] == sign[k + 2])]
-            for lo, dip in sorted([(i, False) for i in crossings.tolist()]
-                                  + [(i, True) for i in dips.tolist()]):
-                if dip and not absv[lo + 1] < _CANDIDATE_REL * self.scale:
-                    continue
-                yield _grid(lo), _grid(lo + 2 if dip else lo + 1), dip
-            start = stop
-        yield math.inf, None, None
+        """max(1, max|f|) over the grid points inside the scan window: the
+        peak over the points evaluated so far, and over the rest of the
+        grid, evaluated in one numpy call."""
+        peak = self.peak
+        if self.done < self.points:
+            rest = char_bracket(_grid(np.arange(self.done, self.points)),
+                                self.case, self.nu)
+            inside = rest[:max(self.inside - self.done, 0)]
+            if inside.size:
+                peak = max(peak, float(np.max(np.abs(inside))))
+        return max(1.0, peak)
 
     def f(self, p):
         return char_bracket(p, self.case, self.nu, math)
@@ -291,32 +303,104 @@ class _Scan:
                          _brent(f, x, hi, fx, fhi, tol)]
             else:
                 accepted = abs(fx) < _ACCEPT_REL * self.scale
-                warnings.warn(NoSignChange(x, fx, accepted),
-                              stacklevel=_outside_level())
+                self.warned.append(NoSignChange(x, fx, accepted))
                 found = [x] if accepted else []
         return [p for p in found if _P_MIN < p <= self.top]
 
-    def roots(self):
-        """The roots inside the scan window, ascending, each cluster of
-        roots closer than _CLUSTER_MERGE merged into its root of least |f|
-        (evaluated only for a cluster of two or more).
+    def take(self, lo, hi, dip):
+        """Refine the trigger [lo, hi] into the found roots."""
+        self.found = sorted(self.found + self._refine(lo, hi, dip))
 
-        Each trigger is refined when reached. Its roots wait until a
-        trigger or mark starts more than _CLUSTER_MERGE past the last of
-        them, when no later root can join them, and are yielded then."""
-        found = []          # refined roots not yet yielded, ascending
-        for lo, hi, dip in self.triggers():
-            if found and lo - found[-1] > _CLUSTER_MERGE:
+    def close(self, lo):
+        """Close the found roots that a trigger or mark starting at lo
+        leaves behind: when it starts more than _CLUSTER_MERGE past the
+        last of them, no later root can join them. Each cluster of roots
+        closer than _CLUSTER_MERGE goes to self.roots as its root of least
+        |f| (evaluated only for a cluster of two or more)."""
+        found = self.found
+        if not found or not lo - found[-1] > _CLUSTER_MERGE:
+            return
+        cluster = []
+        for p in found + [math.inf]:    # inf closes the last one
+            if cluster and p - cluster[-1] > _CLUSTER_MERGE:
+                self.roots.append(
+                    cluster[0] if len(cluster) == 1 else
+                    min(cluster, key=lambda x: abs(self.f(x))))
                 cluster = []
-                for p in found + [math.inf]:    # inf closes the last one
-                    if cluster and p - cluster[-1] > _CLUSTER_MERGE:
-                        yield (cluster[0] if len(cluster) == 1 else
-                               min(cluster, key=lambda x: abs(self.f(x))))
-                        cluster = []
-                    cluster.append(p)
-                found = []
-            if hi is not None:
-                found = sorted(found + self._refine(lo, hi, dip))
+            cluster.append(p)
+        self.found = []
+
+
+def _run(scans, cuts, first):
+    """Feed each scan (cases of one mode under one nu and options) the
+    triggers of its grid, whose cells are cut into parts ending at the
+    cells in cuts (ascending, the last one the grid's last cell).
+
+    Each part is evaluated for every open row in one numpy call and read
+    in one pass. A trigger is a sign change of f across a cell (a grid
+    value of exactly zero counts as a change on both sides) or a dip, a
+    local minimum of |f| with no sign change over three points, kept only
+    below _CANDIDATE_REL of the scale. A row takes its triggers in
+    ascending order; each trigger, a mark at the start of each later part
+    and a last mark at p = inf first close the row's roots behind them.
+    With first, a row closes once its first cluster does.
+
+    A row whose dip read the scale (which evaluates the rest of its grid)
+    is evaluated again in any later part it reaches. In practice it
+    reaches none, since that dip holds its first root: no sweep angle
+    tried did (the three modes, nu from -0.9 to 0.4999, p_max from 1.52
+    to 4)."""
+    head = scans[0]
+    points, mode, nu = head.points, head.case.mode, head.nu
+    rows = list(scans)      # the open rows
+    angles = np.array([[scan.case.half_angle_a] for scan in rows])
+    peak = np.zeros(len(rows))      # max|f| over their window points so far
+    tail = np.empty((len(rows), 0))     # f at the points [start, done)
+    start = done = 0
+    for stop in cuts:
+        if start:
+            mark = _grid(start)
+            for scan in rows:
+                if scan.found:
+                    scan.close(mark)
+            if first and any(scan.roots for scan in rows):
+                keep = [j for j, scan in enumerate(rows) if not scan.roots]
+                if not keep:
+                    return
+                rows = [rows[j] for j in keep]
+                angles, peak, tail = angles[keep], peak[keep], tail[keep]
+        end = min(stop + 2, points)
+        new = char_bracket(_grid(np.arange(done, end)), _Rows(angles, mode),
+                           nu)
+        vals = np.concatenate((tail, new), axis=1)
+        absv = np.abs(vals)
+        window = min(end, head.inside) - start
+        if window > 0:
+            np.maximum(peak, np.max(absv[:, :window], axis=1), out=peak)
+        sign = np.sign(vals)
+        change = sign[:, 1:] != sign[:, :-1]
+        mid = absv[:, 1:-1]
+        dips = ((mid <= absv[:, :-2]) & (mid <= absv[:, 2:])
+                & ~change[:, :-1] & ~change[:, 1:])
+        hits = change[:, :stop - start].copy()
+        hits[:, :dips.shape[1]] |= dips
+        row, col = np.nonzero(hits)
+        for j, k, crossing, level in zip(
+                row.tolist(), (col + start).tolist(),
+                change[row, col].tolist(), absv[row, col + 1].tolist()):
+            scan, lo = rows[j], _grid(k)
+            scan.close(lo)
+            if first and scan.roots:
+                continue
+            if not crossing:
+                scan.done, scan.peak = end, float(peak[j])
+                if not level < _CANDIDATE_REL * scan.scale:
+                    continue
+            scan.take(lo, _grid(k + 1 if crossing else k + 2), not crossing)
+        tail = vals[:, -2:]
+        start, done = stop, end
+    for scan in rows:
+        scan.close(math.inf)
 
 
 def find_roots(case: WedgeCase, nu=None, options: RootScanOptions | None = None):
@@ -331,8 +415,9 @@ def find_roots(case: WedgeCase, nu=None, options: RootScanOptions | None = None)
     # the whole grid in one numpy call, since find_roots reads every cell:
     # over 27 cases on a 2-CPU Xeon this took 396 µs per scan against
     # 484 µs through the two-part stream (faster in 26 of 30 rounds)
-    scan._values(scan.points)
-    return list(scan.roots())
+    _run([scan], [scan.points - 1], first=False)
+    _emit(scan.warned)
+    return scan.roots
 
 
 def admissible_eigenvalues(case: WedgeCase, nu=None,
@@ -348,15 +433,47 @@ def admissible_eigenvalues(case: WedgeCase, nu=None,
         AdmissibleRoot(p, "bracket_root") for p in find_roots(case, nu, options)]
 
 
+def sweep_exponents(cases, nu=None, options: RootScanOptions | None = None):
+    """Exponent summaries for the smallest bracket roots of cases of one
+    mode, in order: smallest_exponents of each case, bit for bit. Each
+    case's NoSignChange warnings are emitted in turn, and NoRootFound is
+    raised for the first case without a root (after its warnings).
+
+    One case reads its grid in two parts, the cells up to p = 2.025, then
+    the rest if it needs them. More cases are scanned _BLOCK_ROWS at a
+    time, their grids in parts of _BLOCK_CELLS cells, each case stopping
+    at the part where its first root cluster closes.
+    """
+    cases = list(cases)
+    if len({case.mode for case in cases}) > 1:
+        raise ValueError("sweep_exponents scans cases of one mode")
+    options = options or RootScanOptions()
+    summaries = []
+    for at in range(0, len(cases), _BLOCK_ROWS):
+        scans = [_Scan(case, nu, options)
+                 for case in cases[at:at + _BLOCK_ROWS]]
+        cells = scans[0].points - 1
+        if len(cases) == 1:
+            cuts = sorted({min(_FIRST_CELLS, cells), cells})
+        else:
+            cuts = [*range(_BLOCK_CELLS, cells, _BLOCK_CELLS), cells]
+        _run(scans, cuts, first=True)
+        for scan in scans:
+            _emit(scan.warned)
+            if not scan.roots:
+                case = scan.case
+                raise NoRootFound(
+                    f"no admissible bracket root for mode {case.mode.value} "
+                    f"at half-angle {case.half_angle_a:.6g}")
+            summaries.append(ExponentSummary(scan.roots[0]))
+    return summaries
+
+
 def smallest_exponents(case: WedgeCase, nu=None,
                        options: RootScanOptions | None = None) -> ExponentSummary:
     """Exponent summary for the smallest bracket root.
 
-    It is find_roots(...)[0] bit for bit, but the root stream stops after
-    its first cluster.
+    It is find_roots(...)[0] bit for bit, but the scan stops once its
+    first root cluster closes: sweep_exponents of the one case.
     """
-    for p in _Scan(case, nu, options).roots():
-        return ExponentSummary(p)
-    raise NoRootFound(
-        f"no admissible bracket root for mode {case.mode.value} at "
-        f"half-angle {case.half_angle_a:.6g}")
+    return sweep_exponents([case], nu, options)[0]

@@ -25,7 +25,8 @@ from .model import (
     PolarSeries,
     WedgeCase,
 )
-from .eigensolver import RootScanOptions, find_roots, smallest_exponents
+from .eigensolver import (RootScanOptions, find_roots, smallest_exponents,
+                          sweep_exponents)
 from . import basis as _basis
 from . import fields as _fields
 from . import equilibrium as _equilibrium
@@ -408,11 +409,9 @@ def _checks_sweep(rng: random.Random):
     nu = 0.3
     degrees = np.arange(90.0, 180.5, 1.0)
     for mode in Mode:
-        ps = []
-        for deg in degrees:
-            case = WedgeCase(half_angle_a=math.radians(float(deg)),
-                             mode=mode)
-            ps.append(smallest_exponents(case, nu=nu).p)
+        cases = [WedgeCase(half_angle_a=math.radians(float(deg)), mode=mode)
+                 for deg in degrees]
+        ps = [summary.p for summary in sweep_exponents(cases, nu=nu)]
         # every step must drop p by more than 1e-9
         yield CheckResult(f"sweep-monotone-{mode.value}",
                           max(ps[i + 1] - ps[i] for i in range(len(ps) - 1)),

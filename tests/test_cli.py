@@ -201,7 +201,7 @@ def test_parser_is_built_once_per_process(capsys):
 def test_unbounded_work_is_refused_before_any_allocation(capsys,
                                                         monkeypatch):
     monkeypatch.setattr(cli, "admissible_eigenvalues", _no_work)
-    monkeypatch.setattr(cli, "smallest_exponents", _no_work)
+    monkeypatch.setattr(cli, "sweep_exponents", _no_work)
     monkeypatch.setattr(cli, "eigenfield", _no_work)
     field = ["field", "--mode", "ap", "--angle-deg", "180",
              "--eig-index", "1", "--amps", "1"]
@@ -285,7 +285,7 @@ def test_sweep_usage_errors(capsys, monkeypatch, tmp_path):
     # an --out in a missing directory is refused before any solve, and
     # leaves no file behind
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "smallest_exponents", _no_work)
+        patch.setattr(cli, "sweep_exponents", _no_work)
         for missing in (tmp_path / "missing" / "x.csv",
                         tmp_path / "missing" / "deeper" / "x.csv"):
             rc, out, err = run(capsys, ["sweep", "--mode", "ap",
@@ -302,7 +302,7 @@ def test_sweep_usage_errors(capsys, monkeypatch, tmp_path):
 
     for step in ("nan", "inf"):
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "smallest_exponents", _no_work)
+            patch.setattr(cli, "sweep_exponents", _no_work)
             rc, out, err = run(capsys, ["sweep", "--mode", "ap",
                                         "--from", "90", "--to", "100",
                                         "--step", step])
@@ -622,7 +622,7 @@ def test_out_naming_a_directory_is_refused_before_any_solve(
     # the solvers still run if called, so a late refusal (the same message,
     # from the failed open after the solve) shows as a nonzero count
     calls = []
-    for name in ("smallest_exponents", "admissible_eigenvalues"):
+    for name in ("sweep_exponents", "admissible_eigenvalues"):
         def counted(*args, _solve=getattr(cli, name), **kwargs):
             calls.append(_solve.__name__)
             return _solve(*args, **kwargs)
@@ -894,7 +894,7 @@ def test_angle_ends_admit_the_library_slack(capsys, angle, rc):
 def test_sweep_range_is_refused_before_the_angle_count(capsys, monkeypatch):
     # a step that asks for too many angles over an out-of-range span is
     # refused for the range, and before any solve
-    monkeypatch.setattr(cli, "smallest_exponents", _no_work)
+    monkeypatch.setattr(cli, "sweep_exponents", _no_work)
     for lo, hi in (("-1e300", "100"), ("90", "180.0000001"), ("nan", "90")):
         rc, out, err = run(capsys, ["sweep", "--mode", "ap", f"--from={lo}",
                                     "--to", hi, "--step", "1e-300"])
@@ -1056,7 +1056,7 @@ _NOTCH = ["--angle-deg", "135", "--nu", "0.3", "--amps", "1"]
 
 
 @pytest.mark.parametrize("target,error,argv,rc,prefix", [
-    ("smallest_exponents", NoRootFound("no admissible bracket root"),
+    ("sweep_exponents", NoRootFound("no admissible bracket root"),
      ["sweep", "--mode", "ap", "--from", "90", "--to", "91"], 2, ""),
     ("smallest_exponents", NoRootFound("no admissible bracket root"),
      ["equilibrium", "--mode", "notch-sym", *_NOTCH], 1, ""),

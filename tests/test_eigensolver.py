@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from gradnotch import eigensolver
 from gradnotch.charfn import char_bracket
 from gradnotch.eigensolver import (AdmissibleRoot, NoRootFound, NoSignChange,
                                    RootScanOptions, admissible_eigenvalues,
-                                   find_roots, smallest_exponents)
+                                   find_roots, smallest_exponents,
+                                   sweep_exponents)
 from gradnotch.model import Mode, OutOfRange, WedgeCase
 
 CRACK_HALF_INTEGERS = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
@@ -153,6 +155,17 @@ def test_scans_refuse_a_plane_poisson_ratio_out_of_range(monkeypatch, scan,
     assert scan(_case(2.0, Mode.ANTIPLANE_ODD), nu)
 
 
+def test_a_sweep_refuses_a_poisson_ratio_or_mixed_modes(monkeypatch):
+    # refused before the bracket is evaluated; no cases, no summaries
+    monkeypatch.setattr(eigensolver, "char_bracket", None)
+    cases = [_case(2.0, Mode.PLANE_SYM)] * 40
+    with pytest.raises(OutOfRange):
+        sweep_exponents(cases, 0.5)
+    with pytest.raises(ValueError, match="one mode"):
+        sweep_exponents(cases + [_case(2.0, Mode.PLANE_ANTI)], 0.3)
+    assert sweep_exponents([], 0.3) == []
+
+
 def test_full_scan_is_fast():
     start = time.perf_counter()
     find_roots(_case(2.3, Mode.PLANE_SYM), 0.3)
@@ -227,9 +240,12 @@ FIRST_ROOT_ANGLES = np.concatenate([np.arange(90.0, 180.5, 1.0),
 
 @pytest.mark.parametrize("mode,nu", FIRST_ROOT_CASES)
 def test_smallest_exponent_is_the_first_root_bit_for_bit(mode, nu):
-    for angle_deg in FIRST_ROOT_ANGLES:
-        case = _case(math.radians(angle_deg), mode)
-        assert smallest_exponents(case, nu).p == find_roots(case, nu)[0]
+    # one angle at a time, and every angle as one batch
+    cases = [_case(math.radians(angle_deg), mode)
+             for angle_deg in FIRST_ROOT_ANGLES]
+    firsts = [find_roots(case, nu)[0] for case in cases]
+    assert [smallest_exponents(case, nu).p for case in cases] == firsts
+    assert [summary.p for summary in sweep_exponents(cases, nu)] == firsts
 
 
 def test_importing_the_cli_does_not_import_scipy():
@@ -293,6 +309,78 @@ def test_only_the_scan_grid_goes_through_numpy(monkeypatch, scan, mode,
                       if angle_deg == 135.0 else {(float, "math")})
 
 
+def _record_grid_parts(monkeypatch):
+    """The numpy bracket evaluations of the scanner: for each, its points
+    and, per half-angle it evaluates, the grid points it covers."""
+    calls = []
+
+    def recorded(p, case, nu=None, lib=np):
+        if lib is np:
+            angles = np.ravel(case.half_angle_a).tolist()
+            calls.append((np.broadcast(p, case.half_angle_a).size,
+                          [(a, np.array(p)) for a in angles]))
+        return char_bracket(p, case, nu, lib)
+
+    monkeypatch.setattr(eigensolver, "char_bracket", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("mode,nu,degrees", [
+    # touch roots at both ends and at 135 degrees, where a dip reads the
+    # scale and so the rest of that angle's grid
+    (Mode.PLANE_ANTI, 0.3, np.linspace(90.0, 180.0, 101)),
+    (Mode.PLANE_SYM, -0.5, np.linspace(130.0, 140.0, 41)),
+    (Mode.ANTIPLANE_ODD, None, np.linspace(90.0, 180.0, 70)),
+])
+def test_a_sweep_reads_each_grid_in_ascending_block_parts(monkeypatch, mode,
+                                                          nu, degrees):
+    calls = _record_grid_parts(monkeypatch)
+    cases = [_case(math.radians(d), mode) for d in degrees]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoSignChange)
+        sweep_exponents(cases, nu)
+    block = eigensolver._BLOCK_ROWS * (eigensolver._BLOCK_CELLS + 2)
+    assert max(points for points, _ in calls) <= block
+    parts = {case.half_angle_a: [] for case in cases}
+    for _, rows in calls:
+        for angle, grid in rows:
+            parts[angle].append(grid)
+    for case in cases:
+        # ascending parts of the one grid with no overlap and no gap,
+        # stopped short of its end unless the scale was read
+        covered = np.concatenate(parts[case.half_angle_a])
+        assert np.array_equal(covered, SCAN_GRID[:len(covered)])
+        assert len(parts[case.half_angle_a][0]) == \
+            eigensolver._BLOCK_CELLS + 2
+        p = smallest_exponents(case, nu).p
+        assert SCAN_GRID[len(covered) - 1] > p
+        if len(covered) < len(SCAN_GRID):
+            assert SCAN_GRID[len(covered) - 1] < p + 0.3
+
+
+def _sweep_peak(degrees):
+    """The peak traced memory of sweep_exponents over the angles."""
+    cases = [_case(math.radians(d), Mode.PLANE_SYM) for d in degrees]
+    tracemalloc.start()
+    try:
+        sweep_exponents(cases, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_a_sweeps_memory_does_not_grow_with_angles_times_grid():
+    # the work arrays are bounded by a block of angles: ten times the
+    # angles adds only their cases' share, where an angles x grid buffer
+    # would add 24 kB per angle (43 MB here)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoSignChange)
+        small = _sweep_peak(np.linspace(90.0, 180.0, 201))
+        large = _sweep_peak(np.linspace(90.0, 180.0, 2001))
+    assert large < 2 * small, (small, large)
+
+
 SCAN_ANGLES = (90.0, 90.0001, 90.05, 90.3, 135.0, 150.0, 179.7, 179.95,
                179.9999, 180.0, 97.1634, 118.42, 141.077, 166.5391)
 # windows shorter than the first part, one whose cells end on its
@@ -300,91 +388,122 @@ SCAN_ANGLES = (90.0, 90.0001, 90.05, 90.3, 135.0, 150.0, 179.7, 179.95,
 SCAN_P_MAX = (1.5, 2.0, 2.022001, 2.023001, 2.025, 4.0, 10.0)
 
 
-def _triggers_and_marks(scan):
-    """The triggers of scan, and the p of its marks (p, None, None)."""
-    items = list(scan.triggers())
-    return ([t for t in items if t[1] is not None],
-            [t[0] for t in items if t[1] is None])
+def _fed(monkeypatch, scans, cuts):
+    """The triggers _run feeds each of scans over its grid cut into parts
+    ending at cuts, recorded without refining them."""
+    fed = {id(scan): [] for scan in scans}
+    with monkeypatch.context() as patch:
+        patch.setattr(eigensolver._Scan, "take",
+                      lambda self, *trigger: fed[id(self)].append(trigger))
+        eigensolver._run(scans, cuts, first=False)
+    return [fed[id(scan)] for scan in scans]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_chunked_scan_equals_the_one_shot_scan(monkeypatch, mode):
-    # the triggers and the scale do not depend on where the grid is cut
-    # into parts, nor on whether the scale is read before the triggers; a
-    # mark comes before each part and at the end, and a grid evaluated
-    # before the triggers are read is one part
+    # the triggers fed to a scan and its scale do not depend on where the
+    # grid is cut into parts, on the other angles of its block, nor on
+    # whether the scale is read before the triggers
     nus = [None] if mode is Mode.ANTIPLANE_ODD else SCAN_NUS
+    cases = [_case(math.radians(angle_deg), mode)
+             for angle_deg in SCAN_ANGLES]
     for nu in nus:
-        for angle_deg in SCAN_ANGLES:
-            case = _case(math.radians(angle_deg), mode)
-            for p_max in SCAN_P_MAX:
-                ref, scale = oracles.scan_triggers_one_shot(case, nu, p_max)
-                options = RootScanOptions(p_max=p_max)
-                for first in (1, 500, 1024):
-                    monkeypatch.setattr(eigensolver, "_FIRST_CELLS", first)
-                    scan = eigensolver._Scan(case, nu, options)
-                    cuts = [first] if first < scan.points - 1 else []
-                    marks = [eigensolver._grid(k) for k in [0] + cuts]
-                    assert (_triggers_and_marks(scan), scan.scale) == (
-                        (ref, marks + [math.inf]), scale), \
-                        (nu, angle_deg, p_max, first)
+        for p_max in SCAN_P_MAX:
+            refs = [oracles.scan_triggers_one_shot(case, nu, p_max)
+                    for case in cases]
+            options = RootScanOptions(p_max=p_max)
+            cells = eigensolver._Scan(cases[0], nu, options).points - 1
+            for cuts in ([1], [500], [1024], [],
+                         range(eigensolver._BLOCK_CELLS, cells,
+                               eigensolver._BLOCK_CELLS)):
+                cuts = sorted({*(cut for cut in cuts if cut < cells), cells})
+                scans = [eigensolver._Scan(case, nu, options)
+                         for case in cases]
+                assert (_fed(monkeypatch, scans, cuts),
+                        [scan.scale for scan in scans]) == (
+                    [ref for ref, _ in refs], [scale for _, scale in refs]), \
+                    (nu, p_max, cuts[:2])
+            for case, (ref, scale) in zip(cases, refs):
                 scan = eigensolver._Scan(case, nu, options)
-                assert (scan.scale, _triggers_and_marks(scan)) == (
-                    scale, (ref, [eigensolver._grid(0), math.inf]))
+                assert scan.scale == scale
+                assert _fed(monkeypatch, [scan],
+                            sorted({min(500, cells), cells})) == [ref]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_root_stream_equals_the_one_shot_roots(mode):
     # draining the stream, or taking its first root, gives the roots of
-    # every trigger refined at once, sorted and merged
+    # every trigger refined at once, sorted and merged; so does every
+    # angle as one batch, where NoRootFound names the first angle without
+    # a root
     nus = [None] if mode is Mode.ANTIPLANE_ODD else SCAN_NUS
+    cases = [_case(math.radians(angle_deg), mode)
+             for angle_deg in SCAN_ANGLES]
     for nu in nus:
-        for angle_deg in SCAN_ANGLES:
-            case = _case(math.radians(angle_deg), mode)
-            for p_max in SCAN_P_MAX:
-                ref = oracles.scan_roots_one_shot(case, nu, p_max)
-                options = RootScanOptions(p_max=p_max)
-                key = (nu, angle_deg, p_max)
+        for p_max in SCAN_P_MAX:
+            options = RootScanOptions(p_max=p_max)
+            refs = [oracles.scan_roots_one_shot(case, nu, p_max)
+                    for case in cases]
+            for case, ref in zip(cases, refs):
+                key = (nu, case.half_angle_a, p_max)
                 assert find_roots(case, nu, options) == ref, key
                 if ref:
                     assert smallest_exponents(case, nu, options).p == ref[0]
                 else:
                     with pytest.raises(NoRootFound):
                         smallest_exponents(case, nu, options)
+            empty = next((i for i, ref in enumerate(refs) if not ref),
+                         len(refs))
+            assert [summary.p for summary in sweep_exponents(
+                cases[:empty], nu, options)] == [
+                    ref[0] for ref in refs[:empty]], (nu, p_max)
+            if empty < len(cases):
+                with pytest.raises(NoRootFound) as info:
+                    sweep_exponents(cases, nu, options)
+                assert str(info.value).endswith(
+                    f"half-angle {cases[empty].half_angle_a:.6g}")
 
 
 def test_merge_evaluates_the_bracket_only_for_clusters(monkeypatch):
-    # a stream over triggers that refine to given roots: a root waits for
-    # the next trigger that starts more than 1e-9 past it, the roots of
-    # two triggers can form one cluster, and |f| is evaluated only for a
-    # cluster of two or more
-    scan = eigensolver._Scan(_case(2.3, Mode.PLANE_SYM), 0.3, None)
-    refined = {1.4: [1.5], 2.4: [2.5], 2.5: [2.5 + 1e-10], 3.0: []}
+    # a scan fed triggers that refine to given roots: a root waits for
+    # the next trigger or mark that starts more than 1e-9 past it, the
+    # roots of two triggers can form one cluster, and |f| is evaluated
+    # only for a cluster of two or more
+    refined = {1.4: [1.5], 2.4: [2.5], 2.5: [2.5 + 1e-10], 3.0: [],
+               2.0: [2.0015], 2.001: [2.0012]}
     refines = []
-
-    def triggers():
-        yield 1.0, None, None
-        for lo in refined:
-            yield lo, lo + 0.2, False
-        yield math.inf, None, None
 
     def refine(lo, hi, dip):
         refines.append(lo)
         return refined[lo]
 
-    monkeypatch.setattr(scan, "triggers", triggers)
+    def feed(scan, lo):
+        """A trigger at lo, as _run feeds it: close, then refine."""
+        scan.close(lo)
+        scan.take(lo, lo + 0.2, False)
+        return scan.roots
+
+    scan = eigensolver._Scan(_case(2.3, Mode.PLANE_SYM), 0.3, None)
     monkeypatch.setattr(scan, "_refine", refine)
     pair = [2.5, 2.5 + 1e-10]
     best = min(pair, key=lambda p: abs(scan.f(p)))
     seen = _record_bracket_args(monkeypatch)
-    stream = scan.roots()
-    assert (next(stream), refines, seen) == (1.5, [1.4], [])
-    assert (next(stream), refines) == (best, [1.4, 2.4, 2.5])
+    assert (feed(scan, 1.4), refines, seen) == ([], [1.4], [])
+    assert (feed(scan, 2.4), refines, seen) == ([1.5], [1.4, 2.4], [])
+    assert feed(scan, 2.5) == [1.5]
+    scan.close(2.5 + 1e-9)      # a mark that leaves no root behind
+    assert (scan.roots, seen) == ([1.5], [])
+    assert feed(scan, 3.0) == [1.5, best]
     assert seen == [(float, "math")] * 2
-    assert list(stream) == [] and refines == [1.4, 2.4, 2.5, 3.0]
+    scan.close(math.inf)
+    assert scan.roots == [1.5, best] and refines == [1.4, 2.4, 2.5, 3.0]
     # the cells of two dips one cell apart overlap: their roots are sorted
-    refined = {2.0: [2.0015], 2.001: [2.0012]}
-    assert list(scan.roots()) == [2.0012, 2.0015]
+    scan = eigensolver._Scan(_case(2.3, Mode.PLANE_SYM), 0.3, None)
+    monkeypatch.setattr(scan, "_refine", refine)
+    feed(scan, 2.0)
+    feed(scan, 2.001)
+    scan.close(math.inf)
+    assert scan.roots == [2.0012, 2.0015]
 
 
 @pytest.mark.parametrize("scan", [find_roots, smallest_exponents,
@@ -397,6 +516,44 @@ def test_warnings_are_credited_to_the_caller(scan):
     assert caught
     assert all(issubclass(w.category, NoSignChange) for w in caught)
     assert {w.filename for w in caught} == {__file__}
+
+
+def _warned(call):
+    """The warnings call emits, in order, as (category, message, file),
+    and the message of the NoRootFound it raises, if any."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+            error = None
+        except NoRootFound as exc:
+            error = str(exc)
+    return [(w.category, str(w.message), w.filename) for w in caught], error
+
+
+def _one_by_one(cases, nu, options):
+    for case in cases:
+        smallest_exponents(case, nu, options)
+
+
+@pytest.mark.parametrize("p_max", [4.0, 1.7])
+@pytest.mark.parametrize("mode,nu", [
+    (Mode.PLANE_SYM, 0.3), (Mode.PLANE_SYM, -0.5), (Mode.PLANE_ANTI, -0.9),
+    (Mode.PLANE_SYM, 13.0 / 36.0), (Mode.PLANE_ANTI, 13.0 / 36.0),
+])
+def test_a_batch_warns_as_its_angles_do_one_by_one(mode, nu, p_max):
+    # touch roots at 180, 135 (plane-anti) and 90 degrees, in two blocks;
+    # with p_max = 1.7, 90 degrees has no root: the warnings before it
+    # are emitted, and none of the angles after it in its block
+    degrees = np.concatenate([[180.0, 135.0, 90.0, 180.0, 135.0],
+                              np.linspace(180.0, 90.0, 37)])
+    cases = [_case(math.radians(d), mode) for d in degrees]
+    options = RootScanOptions(p_max=p_max)
+    batched = _warned(lambda: sweep_exponents(cases, nu, options))
+    assert batched == _warned(lambda: _one_by_one(cases, nu, options))
+    caught, error = batched
+    assert caught and {file for _, _, file in caught} == {__file__}
+    assert (error is None) == (p_max == 4.0)
 
 
 def _roots_and_touches(case, nu):
