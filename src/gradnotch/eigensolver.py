@@ -217,7 +217,7 @@ def _outside_level() -> int:
 
 
 def _emit(caught):
-    """Issue the buffered warnings of one scan, in order, credited to the
+    """Emit the buffered warnings of one scan, in order, credited to the
     first caller outside this module."""
     for warning in caught:
         warnings.warn(warning, stacklevel=_outside_level())
@@ -262,7 +262,7 @@ class _Scan:
         self.done, self.peak = 0, 0.0
         self.found = []     # refined roots not yet in a closed cluster
         self.roots = []     # the closed clusters' roots, ascending
-        self.warned = []    # NoSignChange warnings, in order, not yet issued
+        self.warned = []    # NoSignChange warnings, in order, not yet emitted
 
     @functools.cached_property
     def scale(self):
